@@ -241,9 +241,6 @@ def _make_sharded(inner_name: str, param_text: str) -> DemuxAlgorithm:
     params = _parse_params(param_text)
     nshards = int(params.pop("shards", "8"))
     steering = make_steering(params.pop("steer", "hash"))
-    # ``workers=N`` serves the shards from N worker processes over
-    # shared memory (repro.smp.shm); 0 (the default) stays in-process.
-    workers = int(params.pop("workers", "0"))
     inner_params = ",".join(f"{key}={value}" for key, value in params.items())
     inner_spec = f"{inner_name}:{inner_params}" if inner_params else inner_name
     # Build one inner instance eagerly so a bad inner spec fails here,
@@ -254,7 +251,6 @@ def _make_sharded(inner_name: str, param_text: str) -> DemuxAlgorithm:
         nshards,
         steering,
         inner_spec=inner_spec,
-        workers=workers or None,
     )
 
 

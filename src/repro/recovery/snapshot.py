@@ -324,15 +324,14 @@ def _steering_spec(steering: Any) -> str:
 def _capture_sharded(algorithm: ShardedDemux, spec: str) -> Dict[str, Any]:
     inner_spec = algorithm.inner_spec
     shards = []
-    for index, shard in enumerate(algorithm.shards):
-        if not (shard.spec or inner_spec):
+    for shard in algorithm.shards:
+        shard_spec = shard.spec or inner_spec
+        if not shard_spec:
             raise SnapshotError(
                 "sharded structure's shards carry no registry spec;"
                 " build it through make_algorithm or pass inner_spec"
             )
-        # Route through the facade so worker-resident shards (the
-        # shared-memory workers mode) are captured by their workers.
-        shards.append(algorithm.capture_shard_payload(index))
+        shards.append(_capture_single(shard, shard_spec))
     steering = algorithm.steering
     steering_state: Dict[str, Any] = {"spec": _steering_spec(steering)}
     if isinstance(steering, RoundRobinSteering):
@@ -752,6 +751,10 @@ def open_envelope(blob: bytes) -> Dict[str, Any]:
             f"snapshot checksum mismatch: recorded {recorded[:12]}...,"
             f" computed {actual[:12]}... -- refusing to restore"
         )
+    # The digest covers the parsed payload, not the bytes: a flip that
+    # only changes JSON whitespace would otherwise pass unnoticed.
+    if json.dumps(envelope, sort_keys=True).encode("utf-8") != blob:
+        raise SnapshotFormatError("snapshot bytes are not in canonical form")
     return payload
 
 

@@ -24,6 +24,17 @@ class TestParser:
             args = parser.parse_args(command)
             assert args.command == command[0]
 
+    @pytest.mark.parametrize(
+        "command,option,values",
+        [("smp-sweep", "workers", ["2"]), ("bench-gate", "shm", [])],
+    )
+    def test_removed_options_exit_2(self, command, option, values, capsys):
+        """The retired shared-memory worker flags are refused, not ignored."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, f"--{option}", *values])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_tables(self, capsys):

@@ -1,17 +1,16 @@
-"""The numpy-vectorized batch scan: decision-exact, faster, optional.
+"""The numpy-vectorized batch scan: decision-exact and faster.
 
 ``SlotTable.scan_batch`` replaces one ``list.index`` per packet with a
 blocked numpy comparison -- but it must be a pure speedup: first-match
-index and pinned examined count identical to the scalar scan, and the
-whole fast path must keep working (decision-identically) when numpy is
-absent.  These tests pin all three claims:
+index and pinned examined count identical to the scalar scan, which
+small tables and single-key batches still take as the reference loop.
+These tests pin all three claims:
 
 * unit equivalence of ``scan_batch`` against a scalar ``scan`` loop on
-  randomized tables and query mixes, on both the numpy and fallback
-  paths;
+  randomized tables and query mixes, on both the numpy and loop paths;
 * whole-suite equivalence: every committed golden replayed through
-  every ``fast-*`` twin's batched path with numpy monkeypatched away
-  must still reproduce the committed decisions;
+  every ``fast-*`` twin's batched path forced onto the loop must still
+  reproduce the committed decisions;
 * the speedup itself (marked slow): at N >= 10^3 the vectorized scan
   beats the ``list.index`` loop on the same table.
 """
@@ -21,6 +20,7 @@ from __future__ import annotations
 import json
 import pathlib
 import random
+import sys
 import time
 
 import pytest
@@ -38,13 +38,11 @@ from repro.packet.addresses import FourTuple, IPv4Address
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
-numpy_missing = tables._np is None
-
 
 @pytest.fixture
-def no_numpy(monkeypatch):
-    """The fast path as it runs on a numpy-less interpreter."""
-    monkeypatch.setattr(tables, "_np", None)
+def loop_path(monkeypatch):
+    """Every ``scan_batch`` takes the scalar loop, whatever the size."""
+    monkeypatch.setattr(tables, "_VECTOR_MIN_TABLE", sys.maxsize)
 
 
 def make_table(n: int) -> SlotTable:
@@ -80,7 +78,7 @@ class TestScanBatchUnit:
         ]
 
     @pytest.mark.parametrize("n", [0, 5, 16, 100])
-    def test_fallback_matches_scalar_scan(self, no_numpy, n):
+    def test_fallback_matches_scalar_scan(self, loop_path, n):
         table = make_table(n)
         queries = query_mix(table, max(n, 4), seed=n)
         assert table.scan_batch(queries) == [
@@ -134,10 +132,10 @@ for path in sorted(GOLDEN_DIR.glob("*.json")):
 
 
 class TestGoldenEquivalenceWithoutNumpy:
-    """The whole fastpath golden suite, numpy monkeypatched absent."""
+    """The whole fastpath golden suite, every batch scan on the loop."""
 
     @pytest.mark.parametrize("golden,spec,decisions", GOLDEN_CELLS)
-    def test_batched_decisions_unchanged(self, no_numpy, golden, spec,
+    def test_batched_decisions_unchanged(self, loop_path, golden, spec,
                                          decisions):
         if golden.get("mode") == "churn":
             ops = churn_ops(
@@ -156,9 +154,8 @@ class TestGoldenEquivalenceWithoutNumpy:
 
 
 class TestNumpyVsFallbackDirect:
-    """numpy path vs fallback path, same spec, same stream."""
+    """numpy path vs loop path, same spec, same stream."""
 
-    @pytest.mark.skipif(numpy_missing, reason="numpy not installed")
     @pytest.mark.parametrize(
         "spec", ["fast-linear", "fast-bsd", "fast-sequent:h=7",
                  "fast-cuckoo:buckets=2,slots=2"]
@@ -166,13 +163,12 @@ class TestNumpyVsFallbackDirect:
     def test_decisions_identical(self, spec, monkeypatch):
         stream = golden_stream(77, n_users=80, duration=20.0)
         with_numpy = decision_trace(spec, stream, use_batch=True)
-        monkeypatch.setattr(tables, "_np", None)
-        without = decision_trace(spec, stream, use_batch=True)
-        assert with_numpy == without
+        monkeypatch.setattr(tables, "_VECTOR_MIN_TABLE", sys.maxsize)
+        loop_only = decision_trace(spec, stream, use_batch=True)
+        assert with_numpy == loop_only
 
 
 @pytest.mark.slow
-@pytest.mark.skipif(numpy_missing, reason="numpy not installed")
 def test_vectorized_scan_beats_list_scan_at_1e3():
     """The acceptance claim: at N >= 10^3 the numpy scan wins."""
     table = make_table(2000)

@@ -273,7 +273,11 @@ class TestServeMetricsCLI:
     def test_simulate_serves_and_exits_cleanly(self, tmp_path):
         """``simulate --serve-metrics 0``: parse the announced port,
         scrape all three endpoints during --serve-hold, expect a clean
-        exit with the health line on stdout."""
+        exit with the health line on stdout.
+
+        The hold line comes after the run's summary, so waiting for it
+        keeps the scrape and the terminate from racing the summary.
+        """
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "simulate",
@@ -286,13 +290,17 @@ class TestServeMetricsCLI:
         )
         try:
             port = None
+            holding = False
             for _ in range(200):
                 line = process.stderr.readline()
                 match = re.search(r"http://127\.0\.0\.1:(\d+)/metrics", line)
                 if match:
                     port = int(match.group(1))
+                if "holding telemetry server" in line:
+                    holding = True
                     break
             assert port, "telemetry announcement never appeared on stderr"
+            assert holding, "the run never reached --serve-hold"
             base = f"http://127.0.0.1:{port}"
             status, _, body = _get(f"{base}/metrics")
             assert status == 200

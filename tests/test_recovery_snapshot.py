@@ -252,6 +252,16 @@ class TestRejection:
             with pytest.raises((SnapshotFormatError, SnapshotIntegrityError)):
                 restore_bytes(bytes(mutable))
 
+    def test_whitespace_flip_rejected(self):
+        """A flip that turns a separator space into a tab keeps the JSON
+        and its parsed payload intact; the bytes still changed."""
+        blob = self.blob()
+        position = blob.index(b", ") + 1
+        mutable = bytearray(blob)
+        mutable[position] ^= 0x29  # " " -> "\t"
+        with pytest.raises(SnapshotFormatError, match="canonical"):
+            restore_bytes(bytes(mutable))
+
     def test_open_envelope_checks_before_returning(self):
         payload = open_envelope(self.blob())
         assert payload["kind"] == "single"

@@ -70,6 +70,8 @@ class TestParameterizedSpecs:
             make_algorithm("bsd:h=19")
         with pytest.raises(ValueError, match="unknown parameter"):
             make_algorithm("sequent:chains=19")
+        with pytest.raises(ValueError, match="unknown parameter"):
+            make_algorithm("sharded-fast-sequent:h=19,shards=8,workers=2")
 
     def test_malformed_parameter_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
@@ -93,6 +95,8 @@ class TestRejectionMessages:
     def test_error_names_the_bad_option(self):
         with pytest.raises(ValueError, match="chains"):
             make_algorithm("sequent:chains=19")
+        with pytest.raises(ValueError, match="workers"):
+            make_algorithm("sharded-fast-sequent:h=19,shards=8,workers=2")
 
     def test_error_lists_accepted_options(self):
         with pytest.raises(ValueError, match="accepts: h, hash, overload"):
@@ -103,6 +107,8 @@ class TestRejectionMessages:
             make_algorithm("multicache:size=4")
         with pytest.raises(ValueError, match="accepts: max"):
             make_algorithm("connection_id:cap=10")
+        with pytest.raises(ValueError, match="accepts: h, hash, overload"):
+            make_algorithm("sharded-fast-sequent:h=19,shards=8,workers=2")
 
     def test_optionless_algorithms_say_none(self):
         with pytest.raises(ValueError, match="accepts: none"):
