@@ -1,13 +1,17 @@
-"""Table-driven CRC-16 and CRC-32 over demultiplexing keys.
+"""CRC-16 and CRC-32C over demultiplexing keys.
 
 Jain's study of hashing schemes for address lookup [Jai89] found CRC
 based hashes to distribute real network addresses essentially as well
 as a random function; the paper cites it when asserting that "efficient
 hash functions for protocol addresses are well known" (Section 3.5).
-These CRCs feed :mod:`repro.hashing.functions`.
+These CRCs feed :mod:`repro.hashing.functions`.  CRC-16/CCITT is the
+stdlib's ``binascii.crc_hqx``; the stdlib has no CRC-32C, so that one
+is table-driven.
 """
 
 from __future__ import annotations
+
+import binascii
 
 __all__ = ["crc16_ccitt", "crc32c", "CRC16_CCITT_POLY", "CRC32C_POLY"]
 
@@ -16,19 +20,6 @@ CRC16_CCITT_POLY = 0x1021
 
 #: Castagnoli polynomial (reflected form), as used by iSCSI/SCTP.
 CRC32C_POLY = 0x82F63B78
-
-
-def _build_crc16_table(poly: int):
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ poly) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-        table.append(crc)
-    return tuple(table)
 
 
 def _build_crc32c_table(poly: int):
@@ -44,16 +35,12 @@ def _build_crc32c_table(poly: int):
     return tuple(table)
 
 
-_CRC16_TABLE = _build_crc16_table(CRC16_CCITT_POLY)
 _CRC32C_TABLE = _build_crc32c_table(CRC32C_POLY)
 
 
 def crc16_ccitt(data: bytes, initial: int = 0xFFFF) -> int:
-    """CRC-16/CCITT-FALSE over ``data``."""
-    crc = initial
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _CRC16_TABLE[((crc >> 8) ^ byte) & 0xFF]
-    return crc
+    """CRC-16/CCITT-FALSE over ``data`` (``binascii.crc_hqx`` computes it)."""
+    return binascii.crc_hqx(data, initial)
 
 
 def crc32c(data: bytes, initial: int = 0xFFFFFFFF) -> int:

@@ -12,6 +12,7 @@ from .checksum import (
     internet_checksum,
     ones_complement_sum,
     pseudo_header,
+    pseudo_header_sum,
     verify_checksum,
 )
 from .ethernet import EthernetFrame, EtherType, MACAddress, crc32_ieee
@@ -44,5 +45,6 @@ __all__ = [
     "ones_complement_sum",
     "parse_packet",
     "pseudo_header",
+    "pseudo_header_sum",
     "verify_checksum",
 ]

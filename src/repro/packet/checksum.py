@@ -4,6 +4,14 @@ The checksum is the 16-bit one's complement of the one's-complement sum
 of the covered data taken as 16-bit big-endian words, with odd-length
 data padded with a trailing zero byte.
 
+The sum is computed without a per-word loop.  Because
+``2**16 == 1 (mod 0xFFFF)``, the covered data read as one big-endian
+integer is congruent to the sum of its 16-bit words, and folding the
+carries back in reduces a sum modulo ``0xFFFF``.  The one exception is
+that a nonzero sum never folds to 0: where the remainder is 0 the folded
+sum is ``0xFFFF`` (one's-complement "negative zero").  Only an all-zero
+input sums to 0.
+
 Two properties matter to callers and are exercised heavily by the test
 suite:
 
@@ -16,16 +24,26 @@ suite:
 
 from __future__ import annotations
 
+from typing import Union
+
 __all__ = [
     "ones_complement_sum",
     "internet_checksum",
     "verify_checksum",
     "incremental_update",
     "pseudo_header",
+    "pseudo_header_sum",
 ]
 
 
-def ones_complement_sum(data: bytes, initial: int = 0) -> int:
+def _fold(total: int) -> int:
+    """Fold the carries of a non-negative sum into 16 bits (see above)."""
+    return total % 0xFFFF or (0xFFFF if total else 0)
+
+
+def ones_complement_sum(
+    data: Union[bytes, bytearray, memoryview], initial: int = 0
+) -> int:
     """One's-complement sum of ``data`` as big-endian 16-bit words.
 
     ``initial`` seeds the sum (used to chain the TCP pseudo-header into
@@ -34,18 +52,9 @@ def ones_complement_sum(data: bytes, initial: int = 0) -> int:
     """
     if initial < 0 or initial > 0xFFFF:
         raise ValueError(f"initial sum out of 16-bit range: {initial}")
-    total = initial
-    length = len(data)
-    # Sum 16-bit words; an odd trailing byte is padded with 0x00.
-    for i in range(0, length - 1, 2):
-        total += (data[i] << 8) | data[i + 1]
-    if length % 2:
-        total += data[-1] << 8
-    # Fold carries until the sum fits in 16 bits.  Two folds always
-    # suffice for sums of bounded length, but loop for clarity.
-    while total > 0xFFFF:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total
+    # An odd trailing byte is padded with 0x00: shift it into the high
+    # half of the last word.
+    return _fold((int.from_bytes(data, "big") << 8 * (len(data) & 1)) + initial)
 
 
 def internet_checksum(data: bytes, initial: int = 0) -> int:
@@ -74,9 +83,7 @@ def incremental_update(old_checksum: int, old_word: int, new_word: int) -> int:
         if word < 0 or word > 0xFFFF:
             raise ValueError(f"{name} out of 16-bit range: {word}")
     total = (~old_checksum & 0xFFFF) + (~old_word & 0xFFFF) + new_word
-    while total > 0xFFFF:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+    return (~_fold(total)) & 0xFFFF
 
 
 def pseudo_header(
@@ -95,3 +102,15 @@ def pseudo_header(
         + bytes((0, protocol))
         + length.to_bytes(2, "big")
     )
+
+
+def pseudo_header_sum(src: int, dst: int, protocol: int, length: int) -> int:
+    """``ones_complement_sum(pseudo_header(...))`` without building it.
+
+    ``src`` and ``dst`` are the addresses as 32-bit integers; a 32-bit
+    value is congruent to the sum of its two 16-bit words, so the
+    pseudo-header's word sum is congruent to the plain sum of its four
+    fields.  Arguments are not range-checked: callers pass header
+    fields that are in range by construction.
+    """
+    return _fold(src + dst + protocol + length)

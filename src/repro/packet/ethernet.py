@@ -12,6 +12,7 @@ check sequence is modelled as a CRC-32 trailer that builds and verifies.
 from __future__ import annotations
 
 import dataclasses
+import zlib
 from typing import Union
 
 from .ip import PacketError
@@ -24,28 +25,9 @@ _HEADER_LEN = 14
 _FCS_LEN = 4
 
 
-def _build_crc32_table():
-    table = []
-    for byte in range(256):
-        value = byte
-        for _ in range(8):
-            if value & 1:
-                value = (value >> 1) ^ 0xEDB88320
-            else:
-                value >>= 1
-        table.append(value)
-    return tuple(table)
-
-
-_CRC32_TABLE = _build_crc32_table()
-
-
 def crc32_ieee(data: bytes) -> int:
     """IEEE 802.3 CRC-32 (reflected, as used by the Ethernet FCS)."""
-    crc = 0xFFFFFFFF
-    for byte in data:
-        crc = (crc >> 8) ^ _CRC32_TABLE[(crc ^ byte) & 0xFF]
-    return crc ^ 0xFFFFFFFF
+    return zlib.crc32(data)
 
 
 class MACAddress:

@@ -12,6 +12,7 @@ property tests rely on.
 from __future__ import annotations
 
 import dataclasses
+import struct
 from typing import Optional, Union
 
 from .addresses import IPv4Address
@@ -133,10 +134,12 @@ class IPv4Header:
         data = bytes(data)
         if len(data) < IPV4_MIN_HEADER_LEN:
             raise PacketError(f"IPv4 header truncated: {len(data)} bytes")
-        version = data[0] >> 4
+        (ver_ihl, tos, total_length, identification, flags_frag, ttl,
+         protocol, checksum, src, dst) = _WIRE.unpack_from(data)
+        version = ver_ihl >> 4
         if version != 4:
             raise PacketError(f"not IPv4 (version={version})")
-        ihl = data[0] & 0x0F
+        ihl = ver_ihl & 0x0F
         header_len = ihl * 4
         if header_len < IPV4_MIN_HEADER_LEN:
             raise PacketError(f"IHL too small: {ihl}")
@@ -144,25 +147,55 @@ class IPv4Header:
             raise PacketError("IPv4 options truncated")
         if not verify_checksum(data[:header_len]):
             raise PacketError("IPv4 header checksum mismatch")
-        tos = data[1]
-        total_length = int.from_bytes(data[2:4], "big")
         if total_length < header_len:
             raise PacketError("total length smaller than header")
-        identification = int.from_bytes(data[4:6], "big")
-        flags_frag = int.from_bytes(data[6:8], "big")
-        header = cls(
-            src=IPv4Address(data[12:16]),
-            dst=IPv4Address(data[16:20]),
-            protocol=data[9],
-            payload_length=total_length - header_len,
-            identification=identification,
-            ttl=data[8],
-            dscp=tos >> 2,
-            ecn=tos & 0x3,
-            dont_fragment=bool(flags_frag & 0x4000),
-            more_fragments=bool(flags_frag & 0x2000),
-            fragment_offset=flags_frag & 0x1FFF,
-            options=data[IPV4_MIN_HEADER_LEN:header_len],
-            header_checksum=int.from_bytes(data[10:12], "big"),
+        return cls._from_wire(
+            IPv4Address(src),
+            IPv4Address(dst),
+            protocol,
+            total_length - header_len,
+            identification,
+            ttl,
+            tos >> 2,
+            tos & 0x3,
+            bool(flags_frag & 0x4000),
+            bool(flags_frag & 0x2000),
+            flags_frag & 0x1FFF,
+            data[IPV4_MIN_HEADER_LEN:header_len],
+            checksum,
         )
+
+    @classmethod
+    def _from_wire(
+        cls, src, dst, protocol, payload_length, identification, ttl, dscp,
+        ecn, dont_fragment, more_fragments, fragment_offset, options,
+        header_checksum,
+    ) -> "IPv4Header":
+        """Build from decoded wire fields without :meth:`__post_init__`.
+
+        Its checks cannot fire once :meth:`parse` has passed: every
+        field is an unsigned integer of its wire width, IHL <= 15 bounds
+        the options to 40 bytes in whole words, and the total length is
+        at least the header length and at most 0xFFFF.
+        """
+        header = cls.__new__(cls)
+        header.src = src
+        header.dst = dst
+        header.protocol = protocol
+        header.payload_length = payload_length
+        header.identification = identification
+        header.ttl = ttl
+        header.dscp = dscp
+        header.ecn = ecn
+        header.dont_fragment = dont_fragment
+        header.more_fragments = more_fragments
+        header.fragment_offset = fragment_offset
+        header.options = options
+        header.header_checksum = header_checksum
         return header
+
+
+#: The fixed 20-byte header: version/IHL, TOS, total length,
+#: identification, flags/fragment offset, TTL, protocol, checksum,
+#: source, destination.
+_WIRE = struct.Struct("!BBHHHBBHII")

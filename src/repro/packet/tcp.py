@@ -9,10 +9,11 @@ machine need: ports, sequence/ack numbers, flags, window, checksum
 from __future__ import annotations
 
 import dataclasses
+import struct
 from typing import Optional, Union
 
 from .addresses import MAX_PORT, FourTuple, IPv4Address
-from .checksum import internet_checksum, ones_complement_sum, pseudo_header
+from .checksum import internet_checksum, pseudo_header_sum, verify_checksum
 from .ip import IPProto, PacketError
 
 __all__ = ["TCPFlags", "TCPSegment", "TCP_MIN_HEADER_LEN"]
@@ -176,8 +177,8 @@ class TCPSegment:
         head += self.urgent_pointer.to_bytes(2, "big")
         head += self._options_bytes()
         segment = bytes(head) + self.payload
-        pseudo = pseudo_header(src.packed, dst.packed, IPProto.TCP, len(segment))
-        checksum = internet_checksum(segment, ones_complement_sum(pseudo))
+        pseudo = pseudo_header_sum(src.value, dst.value, IPProto.TCP, len(segment))
+        checksum = internet_checksum(segment, pseudo)
         head[16:18] = checksum.to_bytes(2, "big")
         self.checksum = checksum
         return bytes(head) + self.payload
@@ -191,35 +192,70 @@ class TCPSegment:
     ) -> "TCPSegment":
         """Parse a segment; verify the checksum when ``src``/``dst`` given.
 
-        Raises :class:`PacketError` on truncation or checksum mismatch.
+        Raises :class:`PacketError` on truncation or checksum mismatch,
+        and :class:`TypeError` if only one of ``src``/``dst`` is given
+        (the checksum needs both, and skipping it silently would accept
+        a corrupt segment).
         """
+        if (src is None) != (dst is None):
+            raise TypeError("TCPSegment.parse needs both src and dst, or neither")
         data = bytes(data)
         if len(data) < TCP_MIN_HEADER_LEN:
             raise PacketError(f"TCP header truncated: {len(data)} bytes")
-        data_offset = data[12] >> 4
+        (src_port, dst_port, seq, ack, offset_byte, flags, window, checksum,
+         urgent_pointer) = _WIRE.unpack_from(data)
+        data_offset = offset_byte >> 4
         header_len = data_offset * 4
         if header_len < TCP_MIN_HEADER_LEN:
             raise PacketError(f"TCP data offset too small: {data_offset}")
         if len(data) < header_len:
             raise PacketError("TCP options truncated")
-        if src is not None and dst is not None:
-            pseudo = pseudo_header(src.packed, dst.packed, IPProto.TCP, len(data))
-            if internet_checksum(data, ones_complement_sum(pseudo)) != 0:
-                raise PacketError("TCP checksum mismatch")
-        mss, raw_options = cls._parse_options(data[TCP_MIN_HEADER_LEN:header_len])
-        return cls(
-            src_port=int.from_bytes(data[0:2], "big"),
-            dst_port=int.from_bytes(data[2:4], "big"),
-            seq=int.from_bytes(data[4:8], "big"),
-            ack=int.from_bytes(data[8:12], "big"),
-            flags=data[13],
-            window=int.from_bytes(data[14:16], "big"),
-            urgent_pointer=int.from_bytes(data[18:20], "big"),
-            payload=data[header_len:],
-            mss=mss,
-            raw_options=raw_options,
-            checksum=int.from_bytes(data[16:18], "big"),
+        if src is not None and not verify_checksum(
+            data, pseudo_header_sum(src.value, dst.value, IPProto.TCP, len(data))
+        ):
+            raise PacketError("TCP checksum mismatch")
+        if header_len > TCP_MIN_HEADER_LEN:
+            mss, raw_options = cls._parse_options(data[TCP_MIN_HEADER_LEN:header_len])
+        else:
+            mss, raw_options = None, b""
+        return cls._from_wire(
+            src_port,
+            dst_port,
+            seq,
+            ack,
+            flags,
+            window,
+            urgent_pointer,
+            data[header_len:],
+            mss,
+            raw_options,
+            checksum,
         )
+
+    @classmethod
+    def _from_wire(
+        cls, src_port, dst_port, seq, ack, flags, window, urgent_pointer,
+        payload, mss, raw_options, checksum,
+    ) -> "TCPSegment":
+        """Build from decoded wire fields without :meth:`__post_init__`.
+
+        Its checks cannot fire once :meth:`parse` has passed: every
+        field is an unsigned integer of its wire width, and a data
+        offset <= 15 bounds the options, re-padded or not, to 40 bytes.
+        """
+        segment = cls.__new__(cls)
+        segment.src_port = src_port
+        segment.dst_port = dst_port
+        segment.seq = seq
+        segment.ack = ack
+        segment.flags = flags
+        segment.window = window
+        segment.urgent_pointer = urgent_pointer
+        segment.payload = payload
+        segment.mss = mss
+        segment.raw_options = raw_options
+        segment.checksum = checksum
+        return segment
 
     @staticmethod
     def _parse_options(raw: bytes):
@@ -265,3 +301,8 @@ class TCPSegment:
             f" [{TCPFlags.describe(self.flags)}]"
             f" seq={self.seq} ack={self.ack} len={len(self.payload)}"
         )
+
+
+#: The fixed 20-byte header: ports, sequence and acknowledgement
+#: numbers, data offset, flags, window, checksum, urgent pointer.
+_WIRE = struct.Struct("!HHIIBBHHH")

@@ -130,6 +130,15 @@ class TestParse:
         parsed = TCPSegment.parse(bytes(wire))  # no addresses: no verify
         assert parsed.src_port == 40000
 
+    @pytest.mark.parametrize("src, dst", [(SRC, None), (None, DST)])
+    def test_one_address_is_a_type_error(self, src, dst):
+        # A corrupt segment with one address must not pass unverified,
+        # and the error must not be a PacketError that a stack drops.
+        wire = bytearray(make_segment().build(SRC, DST))
+        wire[22] ^= 0x01
+        with pytest.raises(TypeError, match="both src and dst"):
+            TCPSegment.parse(bytes(wire), src, dst)
+
     def test_checksum_depends_on_pseudo_header(self):
         wire = make_segment().build(SRC, DST)
         other = IPv4Address("10.0.0.3")
