@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from ..packet.addresses import FourTuple
 from .pcb import PCB
-from .stats import DemuxStats, LookupRecord, PacketKind
+from .stats import DemuxStats, PacketKind
 
 if TYPE_CHECKING:  # obs never imports core; this edge is type-only
     from ..obs.profile import LookupProfiler
@@ -225,13 +225,8 @@ class DemuxAlgorithm(abc.ABC):
         points (e.g. ``ConnectionIdDemux.lookup_by_id``, where ``tup``
         is unknown and passed as ``None``).
         """
-        self.stats.record(
-            LookupRecord(
-                examined=result.examined,
-                cache_hit=result.cache_hit,
-                found=result.found,
-                kind=result.kind,
-            )
+        self.stats.by_kind[result.kind].add(
+            result.examined, result.cache_hit, result.pcb is not None
         )
         if self.lifecycle is not None and tup is not None and result.found:
             self.lifecycle.note_touch(tup)

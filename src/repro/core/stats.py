@@ -30,7 +30,7 @@ class PacketKind(enum.Enum):
 
 @dataclasses.dataclass(frozen=True)
 class LookupRecord:
-    """What one lookup cost: filled in by the algorithm, fed to stats."""
+    """One lookup's cost as a value (structures count via ``KindStats.add``)."""
 
     examined: int
     cache_hit: bool
@@ -49,16 +49,20 @@ class KindStats:
     max_examined: int = 0
     histogram: Dict[int, int] = dataclasses.field(default_factory=dict)
 
-    def record(self, rec: LookupRecord) -> None:
+    def add(self, examined: int, cache_hit: bool, found: bool) -> None:
+        """Count one lookup (the one accounting body; no record object)."""
         self.lookups += 1
-        self.examined_total += rec.examined
-        if rec.cache_hit:
+        self.examined_total += examined
+        if cache_hit:
             self.cache_hits += 1
-        if not rec.found:
+        if not found:
             self.not_found += 1
-        if rec.examined > self.max_examined:
-            self.max_examined = rec.examined
-        self.histogram[rec.examined] = self.histogram.get(rec.examined, 0) + 1
+        if examined > self.max_examined:
+            self.max_examined = examined
+        self.histogram[examined] = self.histogram.get(examined, 0) + 1
+
+    def record(self, rec: LookupRecord) -> None:
+        self.add(rec.examined, rec.cache_hit, rec.found)
 
     @property
     def mean_examined(self) -> float:
@@ -168,7 +172,7 @@ class DemuxStats:
         }
 
     def record(self, rec: LookupRecord) -> None:
-        self.by_kind[rec.kind].record(rec)
+        self.by_kind[rec.kind].add(rec.examined, rec.cache_hit, rec.found)
 
     def reset(self) -> None:
         """Zero all counters (e.g. after a warm-up phase)."""

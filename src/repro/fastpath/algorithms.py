@@ -99,7 +99,8 @@ class _FastDemux(_FastDemuxBase):
         super().__init__(chain_fn)
         self._tables = [SlotTable() for _ in range(nchains)]
 
-    def _insert(self, pcb: PCB) -> None:
+    def _insert(self, pcb: PCB) -> int:
+        """Insert ``pcb``; returns its chain, for subclasses to reuse."""
         key, chain = self._keycache.entry(pcb.four_tuple)
         if key in self._present:
             raise DuplicateConnectionError(
@@ -107,6 +108,7 @@ class _FastDemux(_FastDemuxBase):
             )
         self._tables[chain].push_front(key, pcb)
         self._present.add(key)
+        return chain
 
     def _remove(self, tup: FourTuple) -> PCB:
         key, chain = self._keycache.probe(tup)
@@ -334,11 +336,10 @@ class FastSequentDemux(_FastChained):
         )
 
     def _insert(self, pcb: PCB) -> None:
-        super()._insert(pcb)
-        if self._overload_threshold is not None:
-            chain = self._keycache.chain_of(pcb.four_tuple)
-            if len(self._tables[chain]) > self._overload_threshold:
-                self.chain_overload_events += 1
+        chain = super()._insert(pcb)
+        threshold = self._overload_threshold
+        if threshold is not None and len(self._tables[chain]) > threshold:
+            self.chain_overload_events += 1
 
     def _invalidate_cache(self, chain: int, key: int) -> None:
         self._caches[chain].invalidate_if(key)
@@ -365,51 +366,54 @@ class FastSequentDemux(_FastChained):
     def _lookup_batch(
         self, packets: Sequence[Packet]
     ) -> Optional[List[LookupResult]]:
-        # Chains never mutate during lookups; group the batch by chain,
-        # vectorize one scan per chain, then replay the per-chain cache
-        # logic sequentially in packet order.
+        # Cache-first.  Chains never mutate during lookups, so a miss
+        # finds its PCB iff its key is live: one pass in packet order
+        # moves the cache keys as the per-call loop would, scanning
+        # nothing; then found misses are scanned (one scan_batch per
+        # chain) and PCBs filled into results and touched cache slots.
         probe = self._keycache.probe
-        entries = [probe(tup) for tup, _ in packets]
-        by_chain: dict = {}
-        for position, (_key, chain) in enumerate(entries):
-            by_chain.setdefault(chain, []).append(position)
-        scans: List = [None] * len(packets)
-        for chain, positions in by_chain.items():
-            chain_scans = self._tables[chain].scan_batch(
-                [entries[position][0] for position in positions]
-            )
-            for position, scan in zip(positions, chain_scans):
-                scans[position] = scan
         caches = self._caches
         tables = self._tables
-        results: List[LookupResult] = []
-        append = results.append
-        for (key, chain), (index, scanned), (_, kind) in zip(
-            entries, scans, packets
-        ):
+        present = self._present
+        pcbs: List[Optional[PCB]] = [None] * len(packets)
+        examined = [1] * len(packets)
+        hits = [False] * len(packets)
+        misses: dict = {}  # chain -> [(position, key)] of found misses
+        setter: dict = {}  # chain -> the found miss that last set its cache
+        aliases = []  # (hit, found miss that set the slot it hit)
+        for position, (tup, _) in enumerate(packets):
+            key, chain = probe(tup)
             cache = caches[chain]
-            examined = 0
-            if cache.key is not None:
-                examined = 1
-                if cache.key == key:
-                    append(
-                        LookupResult(
-                            cache.pcb, examined, cache_hit=True, kind=kind
-                        )
-                    )
-                    continue
-            examined += scanned
-            if index >= 0:
-                pcb = tables[chain].pcbs[index]
-                cache.set(key, pcb)
-                append(
-                    LookupResult(pcb, examined, cache_hit=False, kind=kind)
-                )
+            if cache.key is None:
+                examined[position] = 0
+            elif cache.key == key:
+                hits[position] = True
+                source = setter.get(chain)
+                if source is None:
+                    pcbs[position] = cache.pcb
+                else:
+                    aliases.append((position, source))
+                continue
+            if key in present:
+                cache.key = key
+                setter[chain] = position
+                misses.setdefault(chain, []).append((position, key))
             else:
-                append(
-                    LookupResult(None, examined, cache_hit=False, kind=kind)
-                )
-        return results
+                examined[position] += len(tables[chain])
+        for chain, found in misses.items():
+            table = tables[chain]
+            scans = table.scan_batch([key for _, key in found])
+            for (position, _), (index, scanned) in zip(found, scans):
+                pcbs[position] = table.pcbs[index]
+                examined[position] += scanned
+        for position, source in aliases:
+            pcbs[position] = pcbs[source]
+        for chain, position in setter.items():
+            caches[chain].pcb = pcbs[position]
+        return [
+            LookupResult(pcb, count, hit, kind)
+            for pcb, count, hit, (_, kind) in zip(pcbs, examined, hits, packets)
+        ]
 
     def describe(self) -> str:
         lengths = self.chain_lengths()

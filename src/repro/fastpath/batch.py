@@ -1,14 +1,14 @@
 """Amortized batched lookups.
 
-Every public ``lookup`` pays the template-method toll: an attribute
-load for the profiler, one for the tracer, and a ``LookupRecord``
-round-trip into the statistics.  Those costs are per *call*, not per
-packet, so a NIC-style coalesced batch can amortize them:
-:class:`BatchLookupMixin` overrides the
+Every public ``lookup`` pays the template-method toll: the profiler,
+lifecycle, tracer and span hook checks, then the statistics update.
+Those costs are per *call*, not per packet, so a NIC-style coalesced
+batch can amortize them: :class:`BatchLookupMixin` overrides the
 :meth:`~repro.core.base.DemuxAlgorithm.lookup_batch` entry point (whose
 base implementation simply loops ``lookup``) with a tight loop that
-hoists the hook checks out of the per-packet path while recording
-statistics *identically* -- same records, same order, same histogram.
+checks the hooks once per batch and counts each result straight into
+:meth:`~repro.core.stats.KindStats.add` -- the same counts, in the same
+order, into the same histogram as the per-call path.
 
 When a tracer, profiler, or lifecycle reaper is attached the mixin
 falls back to the per-call path, because those hooks are defined per
@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.base import LookupResult
-from ..core.stats import LookupRecord, PacketKind
+from ..core.stats import PacketKind
 from ..packet.addresses import FourTuple
 
 __all__ = ["BatchLookupMixin", "as_packets"]
@@ -69,8 +69,8 @@ class BatchLookupMixin:
         ):
             # Hooks are per-lookup by contract; take the exact path.
             return [self.lookup(tup, kind) for tup, kind in packets]
-        # A structure may resolve the whole batch at once (the numpy
-        # scan path); it returns None to take the generic tight loop.
+        # A structure may resolve the whole batch at once (cache-first
+        # or vectorized scans); it returns None to take the tight loop.
         batch_impl = getattr(self, "_lookup_batch", None)
         results: Optional[List[LookupResult]] = (
             batch_impl(packets) if batch_impl is not None else None
@@ -78,15 +78,10 @@ class BatchLookupMixin:
         if results is None:
             lookup = self._lookup
             results = [lookup(tup, kind) for tup, kind in packets]
-        record = self.stats.record
+        by_kind = self.stats.by_kind
         for result in results:
-            record(
-                LookupRecord(
-                    examined=result.examined,
-                    cache_hit=result.cache_hit,
-                    found=result.pcb is not None,
-                    kind=result.kind,
-                )
+            by_kind[result.kind].add(
+                result.examined, result.cache_hit, result.pcb is not None
             )
         counters = self.fastpath_counters
         counters.batch_calls += 1

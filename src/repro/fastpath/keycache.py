@@ -150,9 +150,9 @@ class KeyCache:
         return (tup.key_bits(), chain)
 
     def key_of(self, tup: FourTuple) -> int:
-        """The 96-bit integer key for ``tup`` (non-interning)."""
-        return self.probe(tup)[0]
+        """The 96-bit integer key for ``tup`` (non-interning, uncounted)."""
+        return (self._entries.get(tup) or self._compute(tup))[0]
 
     def chain_of(self, tup: FourTuple) -> int:
-        """The chain index for ``tup`` (0 when unchained; non-interning)."""
-        return self.probe(tup)[1]
+        """The chain index for ``tup`` (0 if unchained; non-interning, uncounted)."""
+        return (self._entries.get(tup) or self._compute(tup))[1]

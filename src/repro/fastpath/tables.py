@@ -25,18 +25,31 @@ from ..core.pcb import PCB
 
 __all__ = ["CachedSlot", "SlotTable"]
 
-#: The interned key is 96 bits; numpy has no uint96, so the mirror
-#: arrays split it into two uint64 halves of 48 bits each (both halves
-#: fit with headroom, and equality of both halves is key equality).
-_HALF_BITS = 48
-_HALF_MASK = (1 << _HALF_BITS) - 1
+#: numpy has no uint96, so the mirror holds each key's low 64 bits; a
+#: match there is confirmed on the full key, and a collision (flows that
+#: differ only in local address) falls back to the exact scan.
+_LOW64 = (1 << 64) - 1
 
 #: Below this table size ``list.index`` beats the mirror upkeep.
 _VECTOR_MIN_TABLE = 16
 
+#: numpy's crossover, measured on a 2-vCPU x86-64 VM (Python 3.11,
+#: numpy 2.4) whose speed drifts by up to ~1.8x, so costs are ranges:
+#: ``list.index`` passes a key in 10-18 ns; the numpy path costs 7-8 us
+#: per call plus ~0.9 ns per (query, table key) cell, and a mirror
+#: rebuild 60-120 ns per key.  At half a table per found key, numpy
+#: pays from about this many cells (queries x table length) ...
+_VECTOR_MIN_WORK = 2_000
+#: ... plus, for a stale mirror, its rebuild: this many queries' work.
+_REBUILD_QUERIES = 16
+
 #: Comparison-matrix budget (query rows x table columns) per block, so
 #: a huge batch against a huge table stays cache- and memory-friendly.
 _VECTOR_BLOCK = 1 << 22
+
+
+def _low64(keys: Sequence[int]):
+    return _np.array([key & _LOW64 for key in keys], dtype=_np.uint64)
 
 
 class SlotTable:
@@ -47,15 +60,13 @@ class SlotTable:
     list (new entries at index 0).
 
     For batched lookups the table lazily maintains a numpy mirror of
-    ``keys`` (two uint64 half-key arrays, rebuilt only after a
-    mutation), so :meth:`scan_batch` resolves a whole chunk with one
-    vectorized comparison instead of one ``list.index`` per packet.
+    ``keys`` (their low 64 bits, rebuilt only when a batch that
+    needs it follows a mutation), so :meth:`scan_batch` can resolve a
+    large chunk with one vectorized comparison instead of one
+    ``list.index`` per packet.
     """
 
-    __slots__ = (
-        "keys", "pcbs", "_version", "_mirror_version",
-        "_mirror_lo", "_mirror_hi",
-    )
+    __slots__ = ("keys", "pcbs", "_version", "_mirror_version", "_mirror_keys")
 
     def __init__(self) -> None:
         self.keys: List[int] = []
@@ -64,8 +75,7 @@ class SlotTable:
         #: it was built at and rebuilds only when stale.
         self._version = 0
         self._mirror_version = -1
-        self._mirror_lo = None
-        self._mirror_hi = None
+        self._mirror_keys = None
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -92,49 +102,39 @@ class SlotTable:
         *exactly* the semantics of calling :meth:`scan` in a loop --
         first-match index (or -1) and the pinned examined count -- so
         callers may substitute it freely anywhere the table is not
-        mutated between the scans.  Uses the numpy mirror when the table
-        is big enough to profit; small tables and single-key batches
-        take the loop, decision-identically.
+        mutated between the scans.  Uses the numpy mirror only where the
+        batch spans enough (query, key) cells to pay numpy's fixed cost
+        and any stale-mirror rebuild; else, and for single keys, the loop.
         """
         n = len(self.keys)
-        if n < _VECTOR_MIN_TABLE or len(keys) < 2:
-            return [self.scan(key) for key in keys]
-        mirror_lo, mirror_hi = self._mirrors()
         nqueries = len(keys)
-        query_lo = _np.fromiter(
-            (key & _HALF_MASK for key in keys),
-            dtype=_np.uint64, count=nqueries,
-        )
-        query_hi = _np.fromiter(
-            (key >> _HALF_BITS for key in keys),
-            dtype=_np.uint64, count=nqueries,
-        )
+        stale = self._mirror_version != self._version
+        work = (nqueries - _REBUILD_QUERIES * stale) * n
+        if n < _VECTOR_MIN_TABLE or nqueries < 2 or work < _VECTOR_MIN_WORK:
+            return [self.scan(key) for key in keys]
+        mirror = self._mirrors()
+        queries = _low64(keys)
         results: List[Tuple[int, int]] = []
         step = max(1, _VECTOR_BLOCK // n)
         for start in range(0, nqueries, step):
-            equal = mirror_lo[None, :] == query_lo[start:start + step, None]
-            equal &= mirror_hi[None, :] == query_hi[start:start + step, None]
-            found = equal.any(axis=1)
-            first = equal.argmax(axis=1)
-            for hit, index in zip(found.tolist(), first.tolist()):
-                results.append((index, index + 1) if hit else (-1, n))
+            equal = mirror[None, :] == queries[start:start + step, None]
+            found = equal.any(axis=1).tolist()
+            first = equal.argmax(axis=1).tolist()
+            for key, hit, index in zip(keys[start:start + step], found, first):
+                if not hit:
+                    results.append((-1, n))
+                elif self.keys[index] == key:
+                    results.append((index, index + 1))
+                else:  # a low-64-bit collision: settle it exactly
+                    results.append(self.scan(key))
         return results
 
     def _mirrors(self):
-        """The (lo, hi) uint64 half-key arrays, rebuilt if stale."""
+        """The low-64-bit key array, rebuilt if stale."""
         if self._mirror_version != self._version:
-            keys = self.keys
-            n = len(keys)
-            self._mirror_lo = _np.fromiter(
-                (key & _HALF_MASK for key in keys),
-                dtype=_np.uint64, count=n,
-            )
-            self._mirror_hi = _np.fromiter(
-                (key >> _HALF_BITS for key in keys),
-                dtype=_np.uint64, count=n,
-            )
+            self._mirror_keys = _low64(self.keys)
             self._mirror_version = self._version
-        return self._mirror_lo, self._mirror_hi
+        return self._mirror_keys
 
     def push_front(self, key: int, pcb: PCB) -> None:
         """Insert at the head (historical BSD insert position)."""

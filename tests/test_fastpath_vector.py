@@ -115,6 +115,29 @@ class TestScanBatchUnit:
         assert after == [table.scan(key) for key in queries]
         assert before != after  # the mutations moved decisions
 
+    def test_low_64_bit_collisions_settle_exactly(self, monkeypatch):
+        # The mirror holds only each key's low 64 bits; flows that
+        # differ only in local address collide there, and the full-key
+        # check must still report the first *exact* match (or a miss).
+        monkeypatch.setattr(tables, "_VECTOR_MIN_WORK", 0)
+        monkeypatch.setattr(tables, "_REBUILD_QUERIES", 0)
+        table = SlotTable()
+        for index in range(24):
+            for local in ("10.0.0.1", "10.0.0.2"):
+                tup = FourTuple(
+                    IPv4Address(local), 1521,
+                    IPv4Address("10.6.0.0") + index, 40000 + index,
+                )
+                table.push_front(tup.key_bits(), PCB(tup))
+        absent = FourTuple(
+            IPv4Address("10.0.0.3"), 1521, IPv4Address("10.6.0.0") + 3, 40003,
+        ).key_bits()
+        queries = table.keys[::3] + [absent] + table.keys[1::5]
+        assert table.scan_batch(queries) == [
+            table.scan(key) for key in queries
+        ]
+        assert table.scan(absent) == (-1, 48)
+
     def test_examined_counts_match_miss_semantics(self):
         table = make_table(64)
         miss = [(1 << 95) + index for index in range(8)]

@@ -191,3 +191,41 @@ class TestMergeRegression:
         assert total.examined_total == 21
         assert total.max_examined == 6
         assert total.histogram == {n: 1 for n in range(1, 7)}
+
+
+class TestScalarAccounting:
+    """``KindStats.add`` is the one accounting body; ``record`` of a
+    ``LookupRecord`` must stay an exact delegate of it."""
+
+    QUANTILES = (0.0, 0.1, 0.5, 0.9, 0.99, 1.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_add_and_record_agree_on_random_streams(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        records = [
+            rec(
+                rng.choice([0, 1, rng.randrange(200)]),
+                hit=rng.random() < 0.3,
+                found=rng.random() < 0.8,
+                kind=rng.choice(list(PacketKind)),
+            )
+            for _ in range(rng.randrange(1, 400))
+        ]
+        by_add, by_record = KindStats(), KindStats()
+        for r in records:
+            by_add.add(r.examined, r.cache_hit, r.found)
+            by_record.record(r)
+        assert by_add.as_dict() == by_record.as_dict()
+        assert by_add.histogram == by_record.histogram
+        assert [by_add.percentile(q) for q in self.QUANTILES] == [
+            by_record.percentile(q) for q in self.QUANTILES
+        ]
+        # DemuxStats.record still takes a LookupRecord, kind-routed.
+        per_kind, recorded = DemuxStats(), DemuxStats()
+        for r in records:
+            per_kind.kind(r.kind).add(r.examined, r.cache_hit, r.found)
+            recorded.record(r)
+        assert per_kind.as_dict() == recorded.as_dict()
+        assert recorded.lookups == len(records)
