@@ -1,18 +1,18 @@
-"""Reference vs fast-path throughput on the standard N-sweep.
+"""Slot-table throughput on the standard N-sweep.
 
-Not a paper figure -- decisions are identical by construction (the
-golden suite proves it); this measures the constant-factor win the
-fast path exists for.  Each cell replays one recorded TPC/A stream
-(common random numbers) through a reference structure and its
-``fast-`` twin and reports packets demultiplexed per second.  The
-same measurement, gated across PRs, runs via ``python -m repro.cli
-bench-gate`` (see docs/fastpath.md); here it runs once per session so
-``pytest benchmarks/bench_fastpath.py -s`` prints the sweep inline.
+Not a paper figure -- decisions are pinned by the golden suite; this
+measures packets demultiplexed per second for each of the paper's
+list-shaped structures.  Each cell replays one recorded TPC/A stream
+(common random numbers) through the structure in ``lookup_batch``
+chunks.  The same measurement, gated across PRs, runs via ``python -m
+repro.cli bench-gate`` (see docs/fastpath.md); here it runs once per
+session so ``pytest benchmarks/bench_fastpath.py -s`` prints the sweep
+inline.
 
-The assertions are deliberately loose (decision equality always; a
-modest speed floor only at the largest N): shared CI runners jitter,
-and the hard >=2x acceptance number lives in BENCH_trajectory.json
-where it was measured on one machine.
+The assertions are deliberately loose (every packet counted, cost
+growing with N for the list structures): shared CI runners jitter, and
+the gated numbers live in BENCH_trajectory.json where they were
+measured on one machine.
 """
 
 import pytest
@@ -21,13 +21,7 @@ from repro.fastpath.gate import measure_replay
 from repro.workload.record import record_tpca_stream
 from conftest import emit
 
-PAIRS = [
-    ("linear", "fast-linear"),
-    ("bsd", "fast-bsd"),
-    ("mtf", "fast-mtf"),
-    ("sequent:h=19", "fast-sequent:h=19"),
-    ("hashed_mtf:h=19", "fast-hashed_mtf:h=19"),
-]
+SPECS = ["linear", "bsd", "mtf", "sequent:h=19", "hashed_mtf:h=19"]
 
 N_SWEEP = (100, 300, 1000)
 DURATION = 20.0
@@ -42,43 +36,32 @@ def stream_for(n_users):
     return _streams[n_users]
 
 
-@pytest.mark.parametrize("reference_spec,fast_spec", PAIRS)
-def test_fastpath_sweep(once, reference_spec, fast_spec):
-    """One pair across the N-sweep: identical work, timed both ways."""
+@pytest.mark.parametrize("spec", SPECS)
+def test_fastpath_sweep(once, spec):
+    """One structure across the N-sweep."""
 
     def sweep():
-        rows = []
-        for n_users in N_SWEEP:
-            stream = stream_for(n_users)
-            reference = measure_replay(reference_spec, stream, repeats=3)
-            fast = measure_replay(fast_spec, stream, repeats=3)
-            rows.append((n_users, reference, fast))
-        return rows
+        return [
+            (n_users, measure_replay(spec, stream_for(n_users), repeats=3))
+            for n_users in N_SWEEP
+        ]
 
     rows = once(sweep)
 
-    lines = [
-        f"{'N':>5} {'pkts':>7} {reference_spec:>22} {fast_spec:>22}"
-        f" {'speedup':>8}"
-    ]
-    for n_users, reference, fast in rows:
-        speedup = fast.packets_per_sec / reference.packets_per_sec
+    lines = [f"{'N':>5} {'pkts':>7} {'pkts/sec':>12} {'PCBs/pkt':>9}"]
+    for n_users, measurement in rows:
         lines.append(
-            f"{n_users:>5} {reference.packets:>7}"
-            f" {reference.packets_per_sec:>18,.0f} p/s"
-            f" {fast.packets_per_sec:>18,.0f} p/s"
-            f" {speedup:>7.2f}x"
+            f"{n_users:>5} {measurement.packets:>7}"
+            f" {measurement.packets_per_sec:>12,.0f}"
+            f" {measurement.mean_examined:>9.2f}"
         )
-    emit(f"fastpath: {reference_spec} vs {fast_spec}", "\n".join(lines))
+    emit(f"fastpath: {spec}", "\n".join(lines))
 
-    for n_users, reference, fast in rows:
-        # Identical decisions => identical mean examined cost.
-        assert reference.mean_examined == pytest.approx(fast.mean_examined)
-        assert reference.packets == fast.packets
-    # At the largest N the interned-scan win must be visible even on a
-    # noisy runner; the calibrated >=2x claim lives in the trajectory.
-    _, reference, fast = rows[-1]
-    assert fast.packets_per_sec > reference.packets_per_sec
+    for n_users, measurement in rows:
+        assert measurement.packets == len(stream_for(n_users).packets)
+        assert measurement.packets_per_sec > 0
+    # The paper's figure of merit grows with N for every list structure.
+    assert rows[-1][1].mean_examined > rows[0][1].mean_examined
 
 
 def test_batch_amortization_never_hurts_fast_sequent(once):

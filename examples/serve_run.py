@@ -7,8 +7,8 @@ swarm of concurrent clients, and -- while the swarm is being served --
 scrapes its own /metrics and /healthz over real HTTP, exactly like the
 `serve --serve-metrics` CLI path.  The served traffic is recorded into
 the capture format that `bench-gate` replays, and the run ends by
-feeding that capture to the canary gate: would `fast-sequent` be
-promoted over plain `sequent` on the traffic we just served?
+feeding that capture to the canary gate: would Sequent's hash chains
+be promoted over the send/receive cache on the traffic we just served?
 
 While it runs you can also scrape it yourself:
 
@@ -78,7 +78,7 @@ def main() -> None:
         load_stream(capture),
         CanaryConfig(
             candidate="fast-sequent:h=19",
-            incumbent="sequent:h=19",
+            incumbent="sendrecv",
             repeats=2,
         ),
     )

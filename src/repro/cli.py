@@ -375,9 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     gate = sub.add_parser(
         "bench-gate",
         help=(
-            "replay recorded TPC/A streams through reference and fast-*"
-            " structures, append packets/sec to the benchmark trajectory,"
-            " fail on >threshold regression"
+            "replay recorded TPC/A streams through the swept structures,"
+            " append packets/sec to the benchmark trajectory, fail on"
+            " >threshold regression"
         ),
     )
     gate.add_argument(

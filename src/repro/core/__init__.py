@@ -11,6 +11,11 @@ plus the pre-cache :class:`LinearDemux`, the Section 3.5 extensions
 (:class:`HashedMTFDemux`, :class:`ConnectionIdDemux`), lookup-cost
 accounting (:mod:`~repro.core.stats`) and the PCBs-to-nanoseconds
 memory model (:mod:`~repro.core.costmodel`).
+
+The list-shaped structures store their lists as flat arrays of
+interned integer keys (:mod:`~repro.core.tables`,
+:mod:`~repro.core.keycache`) and amortize batched lookups
+(:mod:`~repro.core.batch`); the examined counts are the paper's.
 """
 
 from .base import (

@@ -151,8 +151,8 @@ class DemuxAlgorithm(abc.ABC):
         facade, the bench-gate replays).  Semantics are pinned to a
         plain loop over :meth:`lookup` -- same results, same statistics,
         same hook behaviour -- and that loop *is* the default
-        implementation.  Fast structures override it
-        (:class:`repro.fastpath.batch.BatchLookupMixin`) to amortize
+        implementation.  Interned structures override it
+        (:class:`repro.core.batch.BatchLookupMixin`) to amortize
         the per-call template toll without changing one decision.
         """
         return [self.lookup(tup, kind) for tup, kind in packets]

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..core.base import LookupResult
-from ..core.stats import PacketKind
 from ..packet.addresses import FourTuple
+from .base import LookupResult
+from .stats import PacketKind
 
 __all__ = ["BatchLookupMixin", "as_packets"]
 
@@ -49,11 +49,11 @@ def as_packets(
 
 
 class BatchLookupMixin:
-    """Tight-loop ``lookup_batch`` for the fast structures.
+    """Tight-loop ``lookup_batch`` for the interned structures.
 
     Mixed in *before* :class:`~repro.core.base.DemuxAlgorithm`; relies
     only on the template-method contract (``_lookup`` + ``stats`` +
-    optional ``tracer``/``_profiler``) plus the fast path's
+    optional ``tracer``/``_profiler``) plus the structure's
     ``fastpath_counters``.
     """
 

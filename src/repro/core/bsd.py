@@ -16,65 +16,88 @@ rate is 1/N and "the cache is clearly providing little help".
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import List, Optional, Sequence
 
 from ..packet.addresses import FourTuple
-from .base import DemuxAlgorithm, DuplicateConnectionError, LookupResult
+from .base import LookupResult
+from .batch import Packet
 from .pcb import PCB
 from .stats import PacketKind
+from .tables import CachedSlot, SlotDemux
 
 __all__ = ["BSDDemux"]
 
 
-class BSDDemux(DemuxAlgorithm):
+class BSDDemux(SlotDemux):
     """Linear PCB list fronted by a single-entry last-found cache."""
 
     name = "bsd"
 
     def __init__(self) -> None:
         super().__init__()
-        self._pcbs: List[PCB] = []
-        self._tuples = set()
-        self._cache: Optional[PCB] = None
+        self._cache = CachedSlot()
 
     @property
     def cached_pcb(self) -> Optional[PCB]:
         """The PCB currently in the one-entry cache (for inspection)."""
-        return self._cache
+        return self._cache.pcb
 
-    def _insert(self, pcb: PCB) -> None:
-        if pcb.four_tuple in self._tuples:
-            raise DuplicateConnectionError(f"duplicate connection {pcb.four_tuple}")
-        self._pcbs.insert(0, pcb)
-        self._tuples.add(pcb.four_tuple)
-
-    def _remove(self, tup: FourTuple) -> PCB:
-        if tup not in self._tuples:
-            raise KeyError(tup)
-        for i, pcb in enumerate(self._pcbs):
-            if pcb.four_tuple == tup:
-                del self._pcbs[i]
-                self._tuples.discard(tup)
-                if self._cache is pcb:
-                    self._cache = None
-                return pcb
-        raise KeyError(tup)
+    def _invalidate_cache(self, chain: int, key: int) -> None:
+        self._cache.invalidate_if(key)
 
     def _lookup(self, tup: FourTuple, kind: PacketKind) -> LookupResult:
+        key, _ = self._keycache.probe(tup)
+        cache = self._cache
         examined = 0
-        if self._cache is not None:
-            examined += 1
-            if self._cache.four_tuple == tup:
-                return LookupResult(self._cache, examined, cache_hit=True, kind=kind)
-        for pcb in self._pcbs:
-            examined += 1
-            if pcb.four_tuple == tup:
-                self._cache = pcb
-                return LookupResult(pcb, examined, cache_hit=False, kind=kind)
+        if cache.key is not None:
+            examined = 1
+            if cache.key == key:
+                return LookupResult(
+                    cache.pcb, examined, cache_hit=True, kind=kind
+                )
+        table = self._tables[0]
+        index, scanned = table.scan(key)
+        examined += scanned
+        if index >= 0:
+            pcb = table.pcbs[index]
+            cache.set(key, pcb)
+            return LookupResult(pcb, examined, cache_hit=False, kind=kind)
         return LookupResult(None, examined, cache_hit=False, kind=kind)
 
-    def __len__(self) -> int:
-        return len(self._pcbs)
-
-    def __iter__(self) -> Iterator[PCB]:
-        return iter(self._pcbs)
+    def _lookup_batch(
+        self, packets: Sequence[Packet]
+    ) -> Optional[List[LookupResult]]:
+        # The one-entry cache mutates per lookup but never the table,
+        # so scans vectorize up front and the cache logic replays
+        # sequentially over the precomputed results.
+        table = self._tables[0]
+        probe = self._keycache.probe
+        keys = [probe(tup)[0] for tup, _ in packets]
+        scans = table.scan_batch(keys)
+        pcbs = table.pcbs
+        cache = self._cache
+        results: List[LookupResult] = []
+        append = results.append
+        for key, (index, scanned), (_, kind) in zip(keys, scans, packets):
+            examined = 0
+            if cache.key is not None:
+                examined = 1
+                if cache.key == key:
+                    append(
+                        LookupResult(
+                            cache.pcb, examined, cache_hit=True, kind=kind
+                        )
+                    )
+                    continue
+            examined += scanned
+            if index >= 0:
+                pcb = pcbs[index]
+                cache.set(key, pcb)
+                append(
+                    LookupResult(pcb, examined, cache_hit=False, kind=kind)
+                )
+            else:
+                append(
+                    LookupResult(None, examined, cache_hit=False, kind=kind)
+                )
+        return results

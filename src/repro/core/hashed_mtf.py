@@ -13,27 +13,19 @@ runs it against plain Sequent at various H.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import List
 
 from ..hashing.functions import HashFunction, default_hash
 from ..packet.addresses import FourTuple
-from .base import DemuxAlgorithm, DuplicateConnectionError, LookupResult
-from .pcb import PCB
+from .base import LookupResult
 from .sequent import DEFAULT_HASH_CHAINS
 from .stats import PacketKind
+from .tables import CachedSlot, ChainedSlotDemux
 
 __all__ = ["HashedMTFDemux"]
 
 
-class _MTFChain:
-    __slots__ = ("pcbs", "cache")
-
-    def __init__(self) -> None:
-        self.pcbs: List[PCB] = []
-        self.cache: Optional[PCB] = None
-
-
-class HashedMTFDemux(DemuxAlgorithm):
+class HashedMTFDemux(ChainedSlotDemux):
     """H hash chains, each a move-to-front list, optionally cached."""
 
     name = "hashed_mtf"
@@ -45,69 +37,35 @@ class HashedMTFDemux(DemuxAlgorithm):
         *,
         per_chain_cache: bool = True,
     ):
-        super().__init__()
-        if nchains <= 0:
-            raise ValueError(f"nchains must be positive, got {nchains}")
-        self._nchains = nchains
-        self._hash = hash_function
+        super().__init__(nchains, hash_function)
         self._per_chain_cache = per_chain_cache
-        self._chains = [_MTFChain() for _ in range(nchains)]
-        self._tuples = set()
+        self._caches: List[CachedSlot] = [
+            CachedSlot() for _ in range(nchains)
+        ]
 
-    @property
-    def nchains(self) -> int:
-        return self._nchains
-
-    def chain_lengths(self) -> Sequence[int]:
-        return tuple(len(chain.pcbs) for chain in self._chains)
-
-    def chain_of(self, tup: FourTuple) -> int:
-        return self._hash(tup, self._nchains)
-
-    def _insert(self, pcb: PCB) -> None:
-        if pcb.four_tuple in self._tuples:
-            raise DuplicateConnectionError(f"duplicate connection {pcb.four_tuple}")
-        self._chains[self.chain_of(pcb.four_tuple)].pcbs.insert(0, pcb)
-        self._tuples.add(pcb.four_tuple)
-
-    def _remove(self, tup: FourTuple) -> PCB:
-        if tup not in self._tuples:
-            raise KeyError(tup)
-        chain = self._chains[self.chain_of(tup)]
-        for i, pcb in enumerate(chain.pcbs):
-            if pcb.four_tuple == tup:
-                del chain.pcbs[i]
-                self._tuples.discard(tup)
-                if chain.cache is pcb:
-                    chain.cache = None
-                return pcb
-        raise KeyError(tup)
+    def _invalidate_cache(self, chain: int, key: int) -> None:
+        self._caches[chain].invalidate_if(key)
 
     def _lookup(self, tup: FourTuple, kind: PacketKind) -> LookupResult:
-        chain = self._chains[self.chain_of(tup)]
+        key, chain = self._keycache.probe(tup)
         examined = 0
-        if self._per_chain_cache and chain.cache is not None:
-            examined += 1
-            if chain.cache.four_tuple == tup:
-                return LookupResult(chain.cache, examined, cache_hit=True, kind=kind)
-        pcbs = chain.pcbs
-        for i, pcb in enumerate(pcbs):
-            examined += 1
-            if pcb.four_tuple == tup:
-                if i:
-                    del pcbs[i]
-                    pcbs.insert(0, pcb)
-                if self._per_chain_cache:
-                    chain.cache = pcb
-                return LookupResult(pcb, examined, cache_hit=False, kind=kind)
+        cache = self._caches[chain]
+        if self._per_chain_cache and cache.key is not None:
+            examined = 1
+            if cache.key == key:
+                return LookupResult(
+                    cache.pcb, examined, cache_hit=True, kind=kind
+                )
+        table = self._tables[chain]
+        index, scanned = table.scan(key)
+        examined += scanned
+        if index >= 0:
+            pcb = table.pcbs[index]
+            table.move_to_front(index)
+            if self._per_chain_cache:
+                cache.set(key, pcb)
+            return LookupResult(pcb, examined, cache_hit=False, kind=kind)
         return LookupResult(None, examined, cache_hit=False, kind=kind)
-
-    def __len__(self) -> int:
-        return len(self._tuples)
-
-    def __iter__(self) -> Iterator[PCB]:
-        for chain in self._chains:
-            yield from chain.pcbs
 
     def describe(self) -> str:
         cache = "cached" if self._per_chain_cache else "uncached"

@@ -1,13 +1,12 @@
-"""Four-tuple key interning for the demux fast path.
+"""Four-tuple key interning, and the demux base that owns it.
 
-The reference structures compare :class:`~repro.packet.addresses.FourTuple`
-objects on every probe, which costs a Python-level ``__eq__`` per field,
-and the hashed structures additionally run a table-driven CRC over the
-packed 96-bit key on every packet.  Both costs are pure interpreter
-overhead -- the paper's cost model charges neither (Section 3.5 treats
-hash computation as negligible next to PCB memory traffic) -- so the
-fast path is free to eliminate them *as long as every algorithmic
-decision stays identical*.
+Comparing :class:`~repro.packet.addresses.FourTuple` objects on every
+probe costs a Python-level ``__eq__`` per field, and the hashed
+structures would additionally run a table-driven CRC over the packed
+96-bit key on every packet.  Both costs are pure interpreter overhead
+-- the paper's cost model charges neither (Section 3.5 treats hash
+computation as negligible next to PCB memory traffic) -- so the
+structures eliminate them *without changing any algorithmic decision*.
 
 :class:`KeyCache` does that elimination:
 
@@ -18,6 +17,10 @@ decision stays identical*.
   function of the tuple) is memoized alongside the key, so the CRC runs
   once per distinct tuple instead of once per packet.
 
+:class:`InternedDemux` is the base every interned structure shares:
+the paper's list-shaped structures (:mod:`repro.core.tables`) and the
+cuckoo table (:mod:`repro.fastpath.cuckoo`).
+
 Counters land in :class:`FastpathCounters`, which the owning algorithm
 exposes as ``fastpath_counters`` and :func:`repro.fastpath.metrics.
 publish_fastpath` exports through the observability registry.
@@ -26,20 +29,22 @@ publish_fastpath` exports through the observability registry.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..packet.addresses import FourTuple
+from .base import DemuxAlgorithm, LookupResult
+from .batch import BatchLookupMixin, Packet
 
-__all__ = ["FastpathCounters", "KeyCache"]
+__all__ = ["FastpathCounters", "InternedDemux", "KeyCache"]
 
 
 @dataclasses.dataclass
 class FastpathCounters:
-    """Fast-path bookkeeping, separate from the pinned ``DemuxStats``.
+    """Interning and batching bookkeeping, separate from ``DemuxStats``.
 
     These counters never feed the paper's figure of merit; they exist
-    so the observability layer can report how hard the fast-path
-    machinery itself is working.
+    so the observability layer can report how hard the key cache and
+    the batch loop are working.
     """
 
     #: Distinct four-tuples interned (key-cache misses).
@@ -156,3 +161,45 @@ class KeyCache:
     def chain_of(self, tup: FourTuple) -> int:
         """The chain index for ``tup`` (0 if unchained; non-interning, uncounted)."""
         return (self._entries.get(tup) or self._compute(tup))[1]
+
+
+class InternedDemux(BatchLookupMixin, DemuxAlgorithm):
+    """Plumbing every interned structure shares: key cache, membership.
+
+    Subclasses add their own storage -- :class:`~repro.core.tables.
+    SlotDemux` the paper's list-shaped structures,
+    :class:`~repro.fastpath.cuckoo.FastCuckooDemux` its bucket arrays
+    -- but interning, the membership set, counters, and the leak
+    contract (interned entries == live connections) live here, as does
+    the snapshot machinery's type anchor.
+    """
+
+    def __init__(self, chain_fn=None) -> None:
+        super().__init__()
+        self.fastpath_counters = FastpathCounters()
+        self._keycache = KeyCache(chain_fn, self.fastpath_counters)
+        self._present: Set[int] = set()
+
+    def _lookup_batch(
+        self, packets: Sequence[Packet]
+    ) -> Optional[List[LookupResult]]:
+        """Hook for vectorized whole-batch lookups.
+
+        Return the results (decision-identical to looping ``_lookup``,
+        side effects included) or ``None`` to take the generic tight
+        loop.  Statistics are recorded by the mixin either way.
+        """
+        return None
+
+    @property
+    def interned_entries(self) -> int:
+        """Interned-key count; equals ``len(self)`` by the memory-bounds
+        contract (one memo per live connection, none for dead ones)."""
+        return len(self._keycache)
+
+    def __len__(self) -> int:
+        return len(self._present)
+
+    def __contains__(self, tup: FourTuple) -> bool:
+        """Membership without perturbing caches, stats, or counters."""
+        return tup.key_bits() in self._present

@@ -6,21 +6,25 @@ Section 1).  No cache at all: every lookup scans from the head.  This
 is the baseline the 4.3-Reno single-entry cache was added to, and it is
 useful experimentally because its cost is exactly the scan length with
 no cache noise.
+
+The list is one :class:`~repro.core.tables.SlotTable`; a scan is one
+``list.index`` over interned integer keys.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import List, Optional, Sequence
 
 from ..packet.addresses import FourTuple
-from .base import DemuxAlgorithm, DuplicateConnectionError, LookupResult
-from .pcb import PCB
+from .base import LookupResult
+from .batch import Packet
 from .stats import PacketKind
+from .tables import SlotDemux
 
 __all__ = ["LinearDemux"]
 
 
-class LinearDemux(DemuxAlgorithm):
+class LinearDemux(SlotDemux):
     """Uncached linear scan over one list of PCBs.
 
     Expected cost for a uniformly chosen target: ``(N+1)/2``.
@@ -28,38 +32,30 @@ class LinearDemux(DemuxAlgorithm):
 
     name = "linear"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._pcbs: List[PCB] = []
-        self._tuples = set()
-
-    def _insert(self, pcb: PCB) -> None:
-        if pcb.four_tuple in self._tuples:
-            raise DuplicateConnectionError(f"duplicate connection {pcb.four_tuple}")
-        # Historical BSD behaviour: new PCBs go at the head.
-        self._pcbs.insert(0, pcb)
-        self._tuples.add(pcb.four_tuple)
-
-    def _remove(self, tup: FourTuple) -> PCB:
-        if tup not in self._tuples:
-            raise KeyError(tup)
-        for i, pcb in enumerate(self._pcbs):
-            if pcb.four_tuple == tup:
-                del self._pcbs[i]
-                self._tuples.discard(tup)
-                return pcb
-        raise KeyError(tup)  # unreachable if _tuples is consistent
-
     def _lookup(self, tup: FourTuple, kind: PacketKind) -> LookupResult:
-        examined = 0
-        for pcb in self._pcbs:
-            examined += 1
-            if pcb.four_tuple == tup:
-                return LookupResult(pcb, examined, cache_hit=False, kind=kind)
-        return LookupResult(None, examined, cache_hit=False, kind=kind)
+        key, _ = self._keycache.probe(tup)
+        table = self._tables[0]
+        index, examined = table.scan(key)
+        pcb = table.pcbs[index] if index >= 0 else None
+        return LookupResult(pcb, examined, cache_hit=False, kind=kind)
 
-    def __len__(self) -> int:
-        return len(self._pcbs)
-
-    def __iter__(self) -> Iterator[PCB]:
-        return iter(self._pcbs)
+    def _lookup_batch(
+        self, packets: Sequence[Packet]
+    ) -> Optional[List[LookupResult]]:
+        # Lookups never mutate this table, so the whole batch resolves
+        # against one vectorized scan (decision-identical by the
+        # scan_batch contract).
+        table = self._tables[0]
+        probe = self._keycache.probe
+        keys = [probe(tup)[0] for tup, _ in packets]
+        scans = table.scan_batch(keys)
+        pcbs = table.pcbs
+        return [
+            LookupResult(
+                pcbs[index] if index >= 0 else None,
+                examined,
+                cache_hit=False,
+                kind=kind,
+            )
+            for (index, examined), (_, kind) in zip(scans, packets)
+        ]

@@ -20,51 +20,28 @@ scans the entire list.  ``workload.polling`` reproduces this.
 
 from __future__ import annotations
 
-from typing import Iterator, List
-
 from ..packet.addresses import FourTuple
-from .base import DemuxAlgorithm, DuplicateConnectionError, LookupResult
-from .pcb import PCB
+from .base import LookupResult
 from .stats import PacketKind
+from .tables import SlotDemux
 
 __all__ = ["MoveToFrontDemux"]
 
 
-class MoveToFrontDemux(DemuxAlgorithm):
+class MoveToFrontDemux(SlotDemux):
     """Linear PCB list with move-to-front on every successful lookup."""
 
     name = "mtf"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._pcbs: List[PCB] = []
-        self._tuples = set()
-
-    def _insert(self, pcb: PCB) -> None:
-        if pcb.four_tuple in self._tuples:
-            raise DuplicateConnectionError(f"duplicate connection {pcb.four_tuple}")
-        self._pcbs.insert(0, pcb)
-        self._tuples.add(pcb.four_tuple)
-
-    def _remove(self, tup: FourTuple) -> PCB:
-        if tup not in self._tuples:
-            raise KeyError(tup)
-        for i, pcb in enumerate(self._pcbs):
-            if pcb.four_tuple == tup:
-                del self._pcbs[i]
-                self._tuples.discard(tup)
-                return pcb
-        raise KeyError(tup)
-
     def _lookup(self, tup: FourTuple, kind: PacketKind) -> LookupResult:
-        pcbs = self._pcbs
-        for i, pcb in enumerate(pcbs):
-            if pcb.four_tuple == tup:
-                if i:
-                    del pcbs[i]
-                    pcbs.insert(0, pcb)
-                return LookupResult(pcb, i + 1, cache_hit=False, kind=kind)
-        return LookupResult(None, len(pcbs), cache_hit=False, kind=kind)
+        key, _ = self._keycache.probe(tup)
+        table = self._tables[0]
+        index, examined = table.scan(key)
+        if index >= 0:
+            pcb = table.pcbs[index]
+            table.move_to_front(index)
+            return LookupResult(pcb, examined, cache_hit=False, kind=kind)
+        return LookupResult(None, examined, cache_hit=False, kind=kind)
 
     def position_of(self, tup: FourTuple) -> int:
         """Current 0-based list position of ``tup`` (no stats, no MTF).
@@ -73,13 +50,7 @@ class MoveToFrontDemux(DemuxAlgorithm):
         Heisenberg effect of a real lookup.  Raises ``KeyError`` if the
         connection is absent.
         """
-        for i, pcb in enumerate(self._pcbs):
-            if pcb.four_tuple == tup:
-                return i
-        raise KeyError(tup)
-
-    def __len__(self) -> int:
-        return len(self._pcbs)
-
-    def __iter__(self) -> Iterator[PCB]:
-        return iter(self._pcbs)
+        try:
+            return self._tables[0].keys.index(tup.key_bits())
+        except ValueError:
+            raise KeyError(tup) from None

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable
 
-from ..hashing.functions import get_hash_function
+from ..fastpath.cuckoo import FastCuckooDemux
+from ..hashing.functions import HASH_FUNCTIONS, get_hash_function
 from .base import DemuxAlgorithm
 from .bsd import BSDDemux
 from .connection_id import ConnectionIdDemux
@@ -19,7 +20,7 @@ from .linear import LinearDemux
 from .mtf import MoveToFrontDemux
 from .multicache import MultiCacheDemux
 from .sendrecv import SendRecvDemux
-from .sequent import DEFAULT_HASH_CHAINS, SequentDemux
+from .sequent import SequentDemux
 
 __all__ = [
     "ACCEPTED_OPTIONS",
@@ -39,13 +40,12 @@ ALGORITHMS: Dict[str, AlgorithmFactory] = {
     "sequent": SequentDemux,
     "hashed_mtf": HashedMTFDemux,
     "connection_id": ConnectionIdDemux,
+    "cuckoo": FastCuckooDemux,
 }
 
-#: Spec options each algorithm family accepts, keyed by the reference
-#: name (``fast-*`` twins accept the same options as their reference).
-#: Unknown options raise a ``ValueError`` naming both the offender and
-#: this list -- a silently ignored typo (``sequent:chains=51``) would
-#: run the wrong experiment.
+#: Spec options each algorithm accepts.  Unknown options raise a
+#: ``ValueError`` naming both the offender and this list -- a silently
+#: ignored typo (``sequent:chains=51``) would run the wrong experiment.
 ACCEPTED_OPTIONS: Dict[str, tuple] = {
     "linear": (),
     "bsd": (),
@@ -58,25 +58,40 @@ ACCEPTED_OPTIONS: Dict[str, tuple] = {
     "cuckoo": ("buckets", "slots", "stash", "kick"),
 }
 
+#: The accepted spellings of a boolean option value.
+_FLAGS = {"1": True, "yes": True, "true": True,
+          "0": False, "no": False, "false": False}
 
-#: Reference names with a ``fast-`` twin in :mod:`repro.fastpath`.
-#: Kept as a plain tuple (not an import) to preserve the layering:
-#: ``repro.fastpath`` imports from ``repro.core``, never the reverse
-#: at module scope.
-FAST_VARIANT_NAMES = ("linear", "bsd", "mtf", "sequent", "hashed_mtf")
 
-#: Fast-path-only structures with no reference twin (the paper has no
-#: O(1) structure to mirror); reachable only via the ``fast-`` prefix:
-#: ``fast-cuckoo:buckets=64,slots=4,stash=8,kick=64``.
-FAST_ONLY_NAMES = ("cuckoo",)
+def _flag(text: str) -> bool:
+    return _FLAGS[text.lower()]
+
+
+#: How each option's text becomes a constructor keyword:
+#: ``option -> (keyword, parser, what the parser accepts)``.  A parser
+#: failure is re-raised as a ``ValueError`` naming the option -- a typo
+#: in a value (``cache=flase``) must fail as loudly as one in a name.
+_OPTIONS: Dict[str, tuple] = {
+    "h": ("nchains", int, "an integer"),
+    "hash": (
+        "hash_function",
+        get_hash_function,
+        "a hash function; known: " + ", ".join(sorted(HASH_FUNCTIONS)),
+    ),
+    "overload": ("overload_threshold", int, "an integer"),
+    "cache": ("per_chain_cache", _flag, "one of " + ", ".join(_FLAGS)),
+    "max": ("max_connections", int, "an integer"),
+    "k": ("cache_size", int, "an integer"),
+    "buckets": ("buckets", int, "an integer"),
+    "slots": ("slots", int, "an integer"),
+    "stash": ("stash", int, "an integer"),
+    "kick": ("kick", int, "an integer"),
+}
 
 
 def available_algorithms() -> Iterable[str]:
-    """Registered algorithm names (including ``fast-`` twins), sorted."""
-    names = list(ALGORITHMS)
-    names.extend(f"fast-{name}" for name in FAST_VARIANT_NAMES)
-    names.extend(f"fast-{name}" for name in FAST_ONLY_NAMES)
-    return sorted(names)
+    """Registered algorithm names, sorted."""
+    return sorted(ALGORITHMS)
 
 
 def _parse_params(text: str) -> Dict[str, str]:
@@ -92,6 +107,17 @@ def _parse_params(text: str) -> Dict[str, str]:
     return params
 
 
+def _option_value(spelled: str, option: str, text: str, parse, what: str):
+    """``parse(text)``, or a ``ValueError`` naming the option."""
+    try:
+        return parse(text)
+    except (KeyError, ValueError):
+        raise ValueError(
+            f"bad value {text!r} for option {option!r} of {spelled!r};"
+            f" expected {what}"
+        ) from None
+
+
 def make_algorithm(spec: str) -> DemuxAlgorithm:
     """Build an algorithm from a spec string.
 
@@ -102,10 +128,8 @@ def make_algorithm(spec: str) -> DemuxAlgorithm:
         make_algorithm("sequent:h=19,hash=xor_fold")
         make_algorithm("hashed_mtf:h=19,cache=no")
         make_algorithm("multicache:k=16")
-        make_algorithm("fast-sequent:h=19,overload=64")
-        make_algorithm("fast-cuckoo:buckets=64,slots=4,stash=8")
+        make_algorithm("cuckoo:buckets=64,slots=4,stash=8")
         make_algorithm("sharded-sequent:shards=8,steer=hash,h=19")
-        make_algorithm("sharded-fast-sequent:shards=8,h=19")
 
     A ``sharded-`` prefix wraps any registered algorithm in a
     :class:`repro.smp.ShardedDemux` of ``shards`` instances (default
@@ -114,118 +138,54 @@ def make_algorithm(spec: str) -> DemuxAlgorithm:
     Existing CLI paths (``compare``, ``simulate``, ``fault-matrix``)
     exercise sharded variants with no new plumbing.
 
-    A ``fast-`` prefix names the array-backed twin from
-    :mod:`repro.fastpath` -- decision-identical, same options as the
-    reference it mirrors.  The prefixes compose:
-    ``sharded-fast-sequent:shards=8`` shards the fast structure.
+    A ``fast-`` prefix is a spelling alias: ``fast-sequent:h=19`` builds
+    exactly what ``sequent:h=19`` builds (specs, captures and
+    trajectory keys written that way keep resolving).  It composes:
+    ``sharded-fast-sequent:shards=8``.
 
-    Raises ``ValueError`` for unknown names or parameters; the
-    parameter error names the offending option *and* the options the
-    algorithm accepts.
+    The caller's spec is stamped verbatim on the instance as ``spec``.
+    Raises ``ValueError`` for unknown names, unknown parameters, and
+    parameter values the option does not accept; each parameter error
+    names the offending option and what it accepts.
     """
     name, _, param_text = spec.partition(":")
     name = name.strip().lower()
     if name.startswith("sharded-"):
         algorithm = _make_sharded(name[len("sharded-"):], param_text)
-    elif name.startswith("fast-"):
-        algorithm = _make_fast(name[len("fast-"):], param_text)
-    elif name not in ALGORITHMS:
-        known = ", ".join(available_algorithms())
-        raise ValueError(
-            f"unknown algorithm {name!r}; known: {known}"
-            f" (plus 'fast-' and 'sharded-' prefixed variants)"
-        )
     else:
-        algorithm = _construct(
-            name, _parse_params(param_text), ALGORITHMS[name]
-        )
+        algorithm = _construct(name, _parse_params(param_text))
     # Stamp the spec so checkpoint/restore (repro.recovery) can rebuild
     # an equivalent instance without the caller re-threading the string.
     algorithm.spec = spec.strip()
     return algorithm
 
 
-def _construct(
-    name: str,
-    params: Dict[str, str],
-    factory: AlgorithmFactory,
-    *,
-    display: str = "",
-) -> DemuxAlgorithm:
-    """Apply ``name``'s option conventions to ``factory``.
+def _construct(spelled: str, params: Dict[str, str]) -> DemuxAlgorithm:
+    """Build the algorithm ``spelled`` names, applying ``params``.
 
-    ``display`` is the user-facing spec name for error messages (so a
-    bad ``fast-sequent`` option is reported against ``fast-sequent``,
-    not ``sequent``); option vocabulary is always the reference
-    ``name``'s.
+    Errors quote ``spelled`` as the caller wrote it (``fast-sequent``
+    stays ``fast-sequent``); the registry entry is the same either way.
     """
-    display = display or name
-
-    if name in ("sequent", "hashed_mtf"):
-        kwargs = {}
-        nchains = DEFAULT_HASH_CHAINS
-        if "h" in params:
-            nchains = int(params.pop("h"))
-        if "hash" in params:
-            kwargs["hash_function"] = get_hash_function(params.pop("hash"))
-        if name == "sequent" and "overload" in params:
-            kwargs["overload_threshold"] = int(params.pop("overload"))
-        if name == "hashed_mtf" and "cache" in params:
-            kwargs["per_chain_cache"] = params.pop("cache").lower() in (
-                "1",
-                "yes",
-                "true",
-            )
-        _reject_leftovers(name, params, display=display)
-        return factory(nchains, **kwargs)
-
-    if name == "connection_id":
-        kwargs = {}
-        if "max" in params:
-            kwargs["max_connections"] = int(params.pop("max"))
-        _reject_leftovers(name, params, display=display)
-        return factory(**kwargs)
-
-    if name == "multicache":
-        kwargs = {}
-        if "k" in params:
-            kwargs["cache_size"] = int(params.pop("k"))
-        _reject_leftovers(name, params, display=display)
-        return factory(**kwargs)
-
-    if name == "cuckoo":
-        kwargs = {}
-        for option in ("buckets", "slots", "stash", "kick"):
-            if option in params:
-                kwargs[option] = int(params.pop(option))
-        _reject_leftovers(name, params, display=display)
-        return factory(**kwargs)
-
-    _reject_leftovers(name, params, display=display)
-    return factory()
-
-
-def _make_fast(inner_name: str, param_text: str) -> DemuxAlgorithm:
-    """Build ``fast-<algo>`` from :mod:`repro.fastpath`.
-
-    Imported lazily for the same layering reason as ``sharded-``:
-    ``repro.fastpath`` sits above ``repro.core`` and imports the base
-    classes from here.
-    """
-    from ..fastpath.algorithms import FAST_ALGORITHMS
-
-    inner_name = inner_name.strip().lower()
-    if inner_name not in FAST_ALGORITHMS:
-        known = ", ".join(f"fast-{name}" for name in sorted(FAST_ALGORITHMS))
+    name = spelled[len("fast-"):] if spelled.startswith("fast-") else spelled
+    if name not in ALGORITHMS:
+        known = ", ".join(available_algorithms())
         raise ValueError(
-            f"unknown fast algorithm 'fast-{inner_name}'; known: {known}"
+            f"unknown algorithm {spelled!r}; known: {known}"
+            f" (plus 'fast-' and 'sharded-' prefixed spellings)"
         )
-    return _construct(
-        inner_name,
-        _parse_params(param_text),
-        FAST_ALGORITHMS[inner_name],
-        display=f"fast-{inner_name}",
-    )
+    accepted = ACCEPTED_OPTIONS.get(name, ())
+    unknown = sorted(option for option in params if option not in accepted)
+    if unknown:
+        accepted_text = ", ".join(accepted) if accepted else "none"
+        raise ValueError(
+            f"unknown parameter(s) for {spelled!r}: {', '.join(unknown)};"
+            f" {spelled!r} accepts: {accepted_text}"
+        )
+    kwargs = {}
+    for option, text in params.items():
+        keyword, parse, what = _OPTIONS[option]
+        kwargs[keyword] = _option_value(spelled, option, text, parse, what)
+    return ALGORITHMS[name](**kwargs)
 
 
 def _make_sharded(inner_name: str, param_text: str) -> DemuxAlgorithm:
@@ -238,9 +198,15 @@ def _make_sharded(inner_name: str, param_text: str) -> DemuxAlgorithm:
     from ..smp.sharded import ShardedDemux
     from ..smp.steering import make_steering
 
+    spelled = f"sharded-{inner_name}"
     params = _parse_params(param_text)
-    nshards = int(params.pop("shards", "8"))
-    steering = make_steering(params.pop("steer", "hash"))
+    nshards = _option_value(
+        spelled, "shards", params.pop("shards", "8"), int, "an integer"
+    )
+    try:
+        steering = make_steering(params.pop("steer", "hash"))
+    except KeyError as exc:  # steer=hash=<unknown function>
+        raise ValueError(f"option 'steer' of {spelled!r}: {exc.args[0]}") from None
     inner_params = ",".join(f"{key}={value}" for key, value in params.items())
     inner_spec = f"{inner_name}:{inner_params}" if inner_params else inner_name
     # Build one inner instance eagerly so a bad inner spec fails here,
@@ -252,17 +218,3 @@ def _make_sharded(inner_name: str, param_text: str) -> DemuxAlgorithm:
         steering,
         inner_spec=inner_spec,
     )
-
-
-def _reject_leftovers(
-    name: str, params: Dict[str, str], *, display: str = ""
-) -> None:
-    if params:
-        display = display or name
-        accepted = ACCEPTED_OPTIONS.get(name, ())
-        accepted_text = ", ".join(accepted) if accepted else "none"
-        unknown = ", ".join(sorted(params))
-        raise ValueError(
-            f"unknown parameter(s) for {display!r}: {unknown};"
-            f" {display!r} accepts: {accepted_text}"
-        )

@@ -17,18 +17,23 @@ For the installation-default H=19 at N=2000, R=0.2 s: 53.0 expected
 PCBs vs. BSD's 1,001 -- the paper's order-of-magnitude headline.
 
 The hash function is pluggable (default CRC-32C over the 96-bit key);
-``repro.hashing.analysis`` quantifies what a skewed hash costs.
+``repro.hashing.analysis`` quantifies what a skewed hash costs.  Each
+chain is a :class:`~repro.core.tables.SlotTable` and each cache a
+:class:`~repro.core.tables.CachedSlot`; the chain index is computed
+once per connection and memoized with its interned key.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..hashing.functions import HashFunction, default_hash
 from ..packet.addresses import FourTuple
-from .base import DemuxAlgorithm, DuplicateConnectionError, LookupResult
+from .base import LookupResult
+from .batch import Packet
 from .pcb import PCB
 from .stats import PacketKind
+from .tables import CachedSlot, ChainedSlotDemux
 
 __all__ = ["SequentDemux", "DEFAULT_HASH_CHAINS"]
 
@@ -36,17 +41,7 @@ __all__ = ["SequentDemux", "DEFAULT_HASH_CHAINS"]
 DEFAULT_HASH_CHAINS = 19
 
 
-class _Chain:
-    """One hash chain: a linear PCB list plus a one-entry cache."""
-
-    __slots__ = ("pcbs", "cache")
-
-    def __init__(self) -> None:
-        self.pcbs: List[PCB] = []
-        self.cache: Optional[PCB] = None
-
-
-class SequentDemux(DemuxAlgorithm):
+class SequentDemux(ChainedSlotDemux):
     """H hash chains, each a cached linear list."""
 
     name = "sequent"
@@ -58,17 +53,14 @@ class SequentDemux(DemuxAlgorithm):
         *,
         overload_threshold: Optional[int] = None,
     ):
-        super().__init__()
-        if nchains <= 0:
-            raise ValueError(f"nchains must be positive, got {nchains}")
         if overload_threshold is not None and overload_threshold < 1:
             raise ValueError(
                 f"overload_threshold must be >= 1, got {overload_threshold}"
             )
-        self._nchains = nchains
-        self._hash = hash_function
-        self._chains = [_Chain() for _ in range(nchains)]
-        self._tuples = set()
+        super().__init__(nchains, hash_function)
+        self._caches: List[CachedSlot] = [
+            CachedSlot() for _ in range(nchains)
+        ]
         #: Chain population beyond which an insert counts as an
         #: overload event -- the adversarial-load signal (a skewed or
         #: attacked key distribution piling PCBs onto few chains).
@@ -78,17 +70,8 @@ class SequentDemux(DemuxAlgorithm):
         self.chain_overload_events = 0
 
     @property
-    def nchains(self) -> int:
-        """H, the number of hash chains."""
-        return self._nchains
-
-    @property
     def overload_threshold(self) -> Optional[int]:
         return self._overload_threshold
-
-    def chain_lengths(self) -> Sequence[int]:
-        """Current per-chain PCB counts (for balance reporting)."""
-        return tuple(len(chain.pcbs) for chain in self._chains)
 
     def overloaded_chains(self) -> Sequence[int]:
         """Indices of chains currently above the overload threshold."""
@@ -96,59 +79,89 @@ class SequentDemux(DemuxAlgorithm):
             return ()
         return tuple(
             index
-            for index, chain in enumerate(self._chains)
-            if len(chain.pcbs) > self._overload_threshold
+            for index, table in enumerate(self._tables)
+            if len(table) > self._overload_threshold
         )
 
-    def chain_of(self, tup: FourTuple) -> int:
-        """Which chain ``tup`` hashes to."""
-        return self._hash(tup, self._nchains)
-
     def _insert(self, pcb: PCB) -> None:
-        if pcb.four_tuple in self._tuples:
-            raise DuplicateConnectionError(f"duplicate connection {pcb.four_tuple}")
-        chain = self._chains[self.chain_of(pcb.four_tuple)]
-        chain.pcbs.insert(0, pcb)
-        self._tuples.add(pcb.four_tuple)
-        if (
-            self._overload_threshold is not None
-            and len(chain.pcbs) > self._overload_threshold
-        ):
+        chain = super()._insert(pcb)
+        threshold = self._overload_threshold
+        if threshold is not None and len(self._tables[chain]) > threshold:
             self.chain_overload_events += 1
 
-    def _remove(self, tup: FourTuple) -> PCB:
-        if tup not in self._tuples:
-            raise KeyError(tup)
-        chain = self._chains[self.chain_of(tup)]
-        for i, pcb in enumerate(chain.pcbs):
-            if pcb.four_tuple == tup:
-                del chain.pcbs[i]
-                self._tuples.discard(tup)
-                if chain.cache is pcb:
-                    chain.cache = None
-                return pcb
-        raise KeyError(tup)
+    def _invalidate_cache(self, chain: int, key: int) -> None:
+        self._caches[chain].invalidate_if(key)
 
     def _lookup(self, tup: FourTuple, kind: PacketKind) -> LookupResult:
-        chain = self._chains[self.chain_of(tup)]
+        key, chain = self._keycache.probe(tup)
+        cache = self._caches[chain]
         examined = 0
-        if chain.cache is not None:
-            examined += 1
-            if chain.cache.four_tuple == tup:
-                return LookupResult(chain.cache, examined, cache_hit=True, kind=kind)
-        for pcb in chain.pcbs:
-            examined += 1
-            if pcb.four_tuple == tup:
-                chain.cache = pcb
-                return LookupResult(pcb, examined, cache_hit=False, kind=kind)
+        if cache.key is not None:
+            examined = 1
+            if cache.key == key:
+                return LookupResult(
+                    cache.pcb, examined, cache_hit=True, kind=kind
+                )
+        table = self._tables[chain]
+        index, scanned = table.scan(key)
+        examined += scanned
+        if index >= 0:
+            pcb = table.pcbs[index]
+            cache.set(key, pcb)
+            return LookupResult(pcb, examined, cache_hit=False, kind=kind)
         return LookupResult(None, examined, cache_hit=False, kind=kind)
 
-    def __len__(self) -> int:
-        return len(self._tuples)
-
-    def __iter__(self) -> Iterator[PCB]:
-        for chain in self._chains:
-            yield from chain.pcbs
+    def _lookup_batch(
+        self, packets: Sequence[Packet]
+    ) -> Optional[List[LookupResult]]:
+        # Cache-first.  Chains never mutate during lookups, so a miss
+        # finds its PCB iff its key is live: one pass in packet order
+        # moves the cache keys as the per-call loop would, scanning
+        # nothing; then found misses are scanned (one scan_batch per
+        # chain) and PCBs filled into results and touched cache slots.
+        probe = self._keycache.probe
+        caches = self._caches
+        tables = self._tables
+        present = self._present
+        pcbs: List[Optional[PCB]] = [None] * len(packets)
+        examined = [1] * len(packets)
+        hits = [False] * len(packets)
+        misses: dict = {}  # chain -> [(position, key)] of found misses
+        setter: dict = {}  # chain -> the found miss that last set its cache
+        aliases = []  # (hit, found miss that set the slot it hit)
+        for position, (tup, _) in enumerate(packets):
+            key, chain = probe(tup)
+            cache = caches[chain]
+            if cache.key is None:
+                examined[position] = 0
+            elif cache.key == key:
+                hits[position] = True
+                source = setter.get(chain)
+                if source is None:
+                    pcbs[position] = cache.pcb
+                else:
+                    aliases.append((position, source))
+                continue
+            if key in present:
+                cache.key = key
+                setter[chain] = position
+                misses.setdefault(chain, []).append((position, key))
+            else:
+                examined[position] += len(tables[chain])
+        for chain, found in misses.items():
+            table = tables[chain]
+            scans = table.scan_batch([key for _, key in found])
+            for (position, _), (index, scanned) in zip(found, scans):
+                pcbs[position] = table.pcbs[index]
+                examined[position] += scanned
+        for position, source in aliases:
+            pcbs[position] = pcbs[source]
+        for chain, position in setter.items():
+            caches[chain].pcb = pcbs[position]
+        return [
+            LookupResult(pcb, count, hit, kind)
+            for pcb, count, hit, (_, kind) in zip(pcbs, examined, hits, packets)
+        ]
 
     def describe(self) -> str:
         lengths = self.chain_lengths()

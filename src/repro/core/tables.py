@@ -1,29 +1,38 @@
-"""Flat array-backed slot tables for the demux fast path.
+"""Flat array-backed slot tables, and the demux bases built on them.
 
-The reference structures store PCBs in Python lists and walk them with
-an interpreted ``for`` loop comparing four-tuples.  A :class:`SlotTable`
-keeps the same *logical* list as two parallel flat arrays -- interned
-integer keys and their PCBs -- so the scan that the paper prices as
-"PCBs examined" becomes a single C-speed ``list.index`` over small
-integers.  Because the interned key is a bijection of the four-tuple,
-the index found (and therefore the examined count, the found PCB, and
-every cache/move-to-front decision derived from it) is exactly what the
-reference scan computes.
+The paper's structures are linked lists of PCBs walked by comparing
+four-tuples.  A :class:`SlotTable` keeps the same *logical* list as two
+parallel flat arrays -- interned integer keys and their PCBs -- so the
+scan that the paper prices as "PCBs examined" becomes a single C-speed
+``list.index`` over small integers.  Because the interned key is a
+bijection of the four-tuple, the index found (and therefore the
+examined count, the found PCB, and every cache/move-to-front decision
+derived from it) is exactly what a list walk computes.
 
 :class:`CachedSlot` is the flat-array rendering of the paper's
 single-entry caches: one interned key plus one PCB reference, probed
 with a single integer comparison.
+
+:class:`SlotDemux` and :class:`ChainedSlotDemux` hold the plumbing the
+paper's list-shaped structures share (one table, or H hashed chains of
+tables); :mod:`repro.core.linear`, :mod:`~repro.core.bsd`,
+:mod:`~repro.core.mtf`, :mod:`~repro.core.sequent` and
+:mod:`~repro.core.hashed_mtf` add only their lookup rules.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
-from ..core.pcb import PCB
+from ..hashing.functions import HashFunction
+from ..packet.addresses import FourTuple
+from .base import DuplicateConnectionError
+from .keycache import InternedDemux
+from .pcb import PCB
 
-__all__ = ["CachedSlot", "SlotTable"]
+__all__ = ["CachedSlot", "ChainedSlotDemux", "SlotDemux", "SlotTable"]
 
 #: numpy has no uint96, so the mirror holds each key's low 64 bits; a
 #: match there is confirmed on the full key, and a collision (flows that
@@ -85,7 +94,7 @@ class SlotTable:
 
         ``index`` is -1 on a miss; ``examined`` follows the pinned
         counting convention -- position + 1 on a hit, the full table
-        length on a miss -- exactly as the reference linear walk.
+        length on a miss -- exactly as a linear list walk.
         """
         try:
             index = self.keys.index(key)
@@ -146,7 +155,7 @@ class SlotTable:
         """Remove and return the PCB stored under ``key``.
 
         Raises ``ValueError`` if absent; callers gate on their own
-        membership set first, mirroring the reference structures.
+        membership set first.
         """
         index = self.keys.index(key)
         del self.keys[index]
@@ -192,3 +201,70 @@ class CachedSlot:
         """Clear the slot when it caches ``key`` (removal hygiene)."""
         if self.key == key:
             self.clear()
+
+
+class SlotDemux(InternedDemux):
+    """Shared plumbing of the list-shaped structures: slot tables."""
+
+    def __init__(self, nchains: int = 1, chain_fn=None) -> None:
+        super().__init__(chain_fn)
+        self._tables = [SlotTable() for _ in range(nchains)]
+
+    def _insert(self, pcb: PCB) -> int:
+        """Insert ``pcb``; returns its chain, for subclasses to reuse."""
+        key, chain = self._keycache.entry(pcb.four_tuple)
+        if key in self._present:
+            raise DuplicateConnectionError(
+                f"duplicate connection {pcb.four_tuple}"
+            )
+        # Historical BSD behaviour: new PCBs go at the head.
+        self._tables[chain].push_front(key, pcb)
+        self._present.add(key)
+        return chain
+
+    def _remove(self, tup: FourTuple) -> PCB:
+        key, chain = self._keycache.probe(tup)
+        if key not in self._present:
+            raise KeyError(tup)
+        pcb = self._tables[chain].remove_key(key)
+        self._present.discard(key)
+        self._invalidate_cache(chain, key)
+        # The connection is gone; its interned entry goes with it, or
+        # a churn workload would retain one memo per connection ever
+        # seen.
+        self._keycache.evict(tup)
+        return pcb
+
+    def _invalidate_cache(self, chain: int, key: int) -> None:
+        """Hook for cached subclasses (default: no cache to clear)."""
+
+    def __iter__(self) -> Iterator[PCB]:
+        for table in self._tables:
+            yield from table.pcbs
+
+
+class ChainedSlotDemux(SlotDemux):
+    """Shared shape of the hashed structures: H chains + memoized hash."""
+
+    def __init__(self, nchains: int, hash_function: HashFunction) -> None:
+        if nchains <= 0:
+            raise ValueError(f"nchains must be positive, got {nchains}")
+        self._nchains = nchains
+        self._hash = hash_function
+        super().__init__(
+            nchains=nchains,
+            chain_fn=lambda tup: hash_function(tup, nchains),
+        )
+
+    @property
+    def nchains(self) -> int:
+        """H, the number of hash chains."""
+        return self._nchains
+
+    def chain_lengths(self) -> Sequence[int]:
+        """Current per-chain PCB counts (for balance reporting)."""
+        return tuple(len(table) for table in self._tables)
+
+    def chain_of(self, tup: FourTuple) -> int:
+        """Which chain ``tup`` hashes to (memoized)."""
+        return self._keycache.chain_of(tup)

@@ -1,94 +1,23 @@
-"""The demux fast path: same decisions, fewer interpreter cycles.
+"""The O(1) demux tier and the tooling that proves the structures right.
 
-The reference structures in :mod:`repro.core` are written to mirror the
-paper's prose; they pay Python object-graph overhead (four-tuple
-``__eq__`` per probe, a CRC per packet, template-method tolls per call)
-that swamps the algorithmic differences the paper is about.  This
-package re-implements the hot family -- linear, BSD, MTF, Sequent
-hashed, hashed-MTF -- on flat array-backed slot tables with interned
-integer keys and batched lookups, provably decision-identical to the
-references, plus the fast-path-only O(1) cuckoo table for the
-million-connection tier:
+The paper's structures live in :mod:`repro.core`, one implementation
+each, on array-backed slot tables.  This package holds what sits
+beside them:
 
-* :mod:`~repro.fastpath.keycache` -- four-tuple interning + chain memo;
-* :mod:`~repro.fastpath.tables` -- flat slot tables and cache slots
-  (with the numpy-vectorized batch scan);
-* :mod:`~repro.fastpath.algorithms` -- the five ``fast-*`` structures;
 * :mod:`~repro.fastpath.cuckoo` -- the two-choice cuckoo table with
-  per-bucket pre-filters (``fast-cuckoo``, no reference twin);
-* :mod:`~repro.fastpath.batch` -- the amortized ``lookup_batch`` loop;
+  per-bucket pre-filters (``cuckoo``), which the paper does not have;
 * :mod:`~repro.fastpath.conformance` -- golden decision traces;
-* :mod:`~repro.fastpath.gate` -- the cross-PR ``bench-gate`` harness;
-* :mod:`~repro.fastpath.metrics` -- observability export of fast-path
-  counters.
+* :mod:`~repro.fastpath.gate` -- the cross-PR ``bench-gate`` harness
+  and the canary gate;
+* :mod:`~repro.fastpath.metrics` -- observability export of the
+  interning, batching and cuckoo counters.
 
-Registry specs: ``fast-sequent:h=51,hash=crc16``,
-``sharded-fast-sequent:shards=8,steer=hash``, etc.  See
-``docs/fastpath.md``.
+A ``fast-`` prefix on a registry spec is a spelling alias kept for
+existing specs (``fast-sequent:h=19`` builds the same structure as
+``sequent:h=19``).  See ``docs/fastpath.md``.
 """
 
-from .algorithms import (
-    FAST_ALGORITHMS,
-    FastBSDDemux,
-    FastHashedMTFDemux,
-    FastLinearDemux,
-    FastMTFDemux,
-    FastSequentDemux,
-)
-from .batch import BatchLookupMixin, as_packets
-from .conformance import (
-    decision_trace,
-    golden_stream,
-    resumed_decision_trace,
-    resumed_mutation_trace,
-    stray_tuple,
-)
 from .cuckoo import CuckooCounters, FastCuckooDemux
-from .gate import (
-    DEFAULT_PAIRS,
-    GateConfig,
-    GateReport,
-    MAX_SWEEP_USERS,
-    Measurement,
-    QUICK_CONFIG,
-    SCALE_CONFIG,
-    SCALE_PAIRS,
-    measure_replay,
-    run_gate,
-)
-from .keycache import FastpathCounters, KeyCache
 from .metrics import publish_fastpath
-from .tables import CachedSlot, SlotTable
 
-__all__ = [
-    "BatchLookupMixin",
-    "CachedSlot",
-    "CuckooCounters",
-    "DEFAULT_PAIRS",
-    "FAST_ALGORITHMS",
-    "FastBSDDemux",
-    "FastCuckooDemux",
-    "FastHashedMTFDemux",
-    "FastLinearDemux",
-    "FastMTFDemux",
-    "FastSequentDemux",
-    "FastpathCounters",
-    "GateConfig",
-    "GateReport",
-    "KeyCache",
-    "MAX_SWEEP_USERS",
-    "Measurement",
-    "QUICK_CONFIG",
-    "SCALE_CONFIG",
-    "SCALE_PAIRS",
-    "SlotTable",
-    "as_packets",
-    "decision_trace",
-    "golden_stream",
-    "measure_replay",
-    "publish_fastpath",
-    "resumed_decision_trace",
-    "resumed_mutation_trace",
-    "run_gate",
-    "stray_tuple",
-]
+__all__ = ["CuckooCounters", "FastCuckooDemux", "publish_fastpath"]

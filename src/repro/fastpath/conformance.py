@@ -10,19 +10,22 @@ indistinguishable to every experiment in this repository.
 deterministic sprinkle of absent-key lookups, so the not-found path is
 covered) through any registry spec and returns the trace as compact
 ``[found, examined, cache_hit]`` triples.  The golden suite records the
-reference algorithms' traces into ``tests/golden/*.json`` (via
-``tests/golden/generate_golden.py``) and asserts that (a) the reference
-structures still reproduce them byte-for-byte -- guarding against
-accidental semantic drift in :mod:`repro.core` -- and (b) every
-``fast-*`` twin reproduces them too, through both the per-call and the
-batched lookup paths.
+traces of the list-walking oracle (``tests/demux_oracle.py``) into
+``tests/golden/*.json`` (via ``tests/golden/generate_golden.py``) and
+asserts that the structures in :mod:`repro.core` reproduce them
+byte-for-byte, through both the per-call and the batched lookup paths.
+
+Every replay takes either a registry spec or an empty structure to
+replay on, so the oracle -- which the registry does not know -- runs
+through exactly the same stream and stray interleave.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import List, Tuple, Union
 
+from ..core.base import DemuxAlgorithm
 from ..core.registry import make_algorithm
 from ..core.stats import PacketKind
 from ..packet.addresses import FourTuple, IPv4Address
@@ -44,6 +47,13 @@ __all__ = [
 #: One lookup decision: ``[found, examined, cache_hit]`` with 0/1 flags
 #: (compact and JSON-stable).
 Decision = List[int]
+
+#: What a replay runs on: a registry spec, or an empty structure.
+Subject = Union[str, DemuxAlgorithm]
+
+
+def _build(subject: Subject) -> DemuxAlgorithm:
+    return make_algorithm(subject) if isinstance(subject, str) else subject
 
 
 def golden_stream(
@@ -68,7 +78,7 @@ def stray_tuple(index: int) -> FourTuple:
 
 
 def decision_trace(
-    spec: str,
+    spec: Subject,
     stream: RecordedStream,
     *,
     stray_every: int = 13,
@@ -76,6 +86,8 @@ def decision_trace(
     batch_size: int = 64,
 ) -> List[Decision]:
     """Replay ``stream`` through ``spec``; return its decision trace.
+
+    ``spec`` is a registry spec or an empty structure to replay on.
 
     Every ``stray_every``-th packet is followed by a lookup of an
     absent key (alternating DATA/ACK kinds), so traces exercise the
@@ -85,7 +97,7 @@ def decision_trace(
     """
     from ..core.pcb import PCB  # local: keep module import light
 
-    algorithm = make_algorithm(spec)
+    algorithm = _build(spec)
     for tup in stream.tuples:
         algorithm.insert(PCB(tup))
     packets = _packets_with_strays(stream, stray_every)
@@ -226,13 +238,13 @@ def churn_ops(seed: int, *, steps: int = 4000) -> List[ChurnOp]:
 
 
 def mutation_trace(
-    spec: str,
+    spec: Subject,
     ops: List[ChurnOp],
     *,
     use_batch: bool = False,
     batch_size: int = 32,
 ):
-    """Replay a churn op list through ``spec``.
+    """Replay a churn op list through ``spec`` (a spec or a structure).
 
     Returns ``(decisions, algorithm)``: the decision trace of the
     lookups (same triples as :func:`decision_trace`) and the mutated
@@ -242,7 +254,7 @@ def mutation_trace(
     ``batch_size`` chunks; mutations flush the pending batch first,
     preserving op order exactly.
     """
-    algorithm = make_algorithm(spec)
+    algorithm = _build(spec)
     decisions = _replay_ops(algorithm, ops, use_batch, batch_size)
     return decisions, algorithm
 

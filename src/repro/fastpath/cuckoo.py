@@ -1,7 +1,7 @@
 """A true O(1) demux backend: two-choice cuckoo table with pre-filters.
 
-The chained structures the paper studies -- and their ``fast-`` twins
-in :mod:`~repro.fastpath.algorithms` -- all degrade linearly in N/H:
+The chained structures the paper studies (:mod:`repro.core.sequent`
+and its relatives) all degrade linearly in N/H:
 at 10\N{SUPERSCRIPT FIVE}--10\N{SUPERSCRIPT SIX} connections even
 ``fast-sequent:h=19`` examines thousands of PCBs per packet.
 :class:`FastCuckooDemux` bounds the worst case instead, in the style of
@@ -37,9 +37,9 @@ regardless of N, and a pre-filtered miss examines 0.  Fingerprint
 collisions can add the odd extra comparison; they are deterministic,
 so golden traces pin them too.
 
-Registry spec: ``fast-cuckoo`` (options ``buckets``, ``slots``,
-``stash``, ``kick``), composing with sharding as
-``sharded-fast-cuckoo:shards=8``.  Decision determinism is enforced by
+Registry spec: ``cuckoo``, also spelled ``fast-cuckoo`` (options
+``buckets``, ``slots``, ``stash``, ``kick``), composing with sharding
+as ``sharded-fast-cuckoo:shards=8``.  Decision determinism is enforced by
 the golden suite (``tests/test_cuckoo_golden.py``), the dict-oracle
 property tier (``tests/property/test_cuckoo_properties.py``), and the
 snapshot round-trip tests.
@@ -51,10 +51,10 @@ import dataclasses
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.base import DuplicateConnectionError, LookupResult
+from ..core.keycache import InternedDemux
 from ..core.pcb import PCB
 from ..core.stats import PacketKind
 from ..packet.addresses import FourTuple
-from .algorithms import _FastDemuxBase
 
 __all__ = ["CuckooCounters", "FastCuckooDemux"]
 
@@ -78,7 +78,7 @@ def _spread(key: int) -> int:
 class CuckooCounters:
     """Cuckoo bookkeeping, separate from the pinned ``DemuxStats``.
 
-    Like :class:`~repro.fastpath.keycache.FastpathCounters`, these
+    Like :class:`~repro.core.keycache.FastpathCounters`, these
     never feed the paper's figure of merit; they exist so the
     observability plane can see how hard the table is working
     (kickout pressure, stash traffic, pre-filter effectiveness).
@@ -116,7 +116,7 @@ class CuckooCounters:
         }
 
 
-class FastCuckooDemux(_FastDemuxBase):
+class FastCuckooDemux(InternedDemux):
     """Two-choice cuckoo table with Cuckoo++-style bucket pre-filters."""
 
     name = "fast-cuckoo"

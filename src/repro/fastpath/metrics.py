@@ -1,13 +1,13 @@
 """Publish fast-path counters through the observability registry.
 
-The fast structures keep their own bookkeeping
-(:class:`~repro.fastpath.keycache.FastpathCounters`: key interning,
+The interned structures keep their own bookkeeping
+(:class:`~repro.core.keycache.FastpathCounters`: key interning,
 chain-memo traffic, batch amortization) separate from the pinned
 ``DemuxStats``.  :func:`publish_fastpath` exports those counters as
 gauges into a :class:`repro.obs.metrics.MetricsRegistry`, alongside the
 demux statistics the existing exporters already publish, so a
-``simulate --metrics-out`` run on a ``fast-*`` spec shows how hard the
-fast-path machinery worked.
+``simulate --metrics-out`` run shows how hard the key cache and the
+batch loop worked.
 
 Duck-typed like the other exporters: any object with a
 ``fastpath_counters`` attribute participates; everything else is a

@@ -101,8 +101,8 @@ class LeakAudit:
 
     label: str
     live: int
-    #: Total interned fast-path entries, or ``None`` for structures
-    #: with no intern table (the references -- nothing *can* leak).
+    #: Total interned key entries, or ``None`` for structures with no
+    #: intern table (sendrecv, multicache -- nothing *can* leak).
     interned: Optional[int]
     grace: int
     violations: List[str] = dataclasses.field(default_factory=list)
@@ -125,8 +125,8 @@ class LeakAudit:
 def audit_leaks(algorithm, *, grace: int = 0, label: Optional[str] = None) -> LeakAudit:
     """Check that ``algorithm``'s auxiliary state tracks its population.
 
-    The memory-bounds contract (docs/fastpath.md): a fast structure
-    interns exactly one key memo per *live* connection, so after any
+    The memory-bounds contract (docs/fastpath.md): an interned
+    structure holds exactly one key memo per *live* connection, so after any
     sequence of inserts, removes, and lookups --
 
     * total interned entries must not exceed live connections plus
@@ -135,7 +135,7 @@ def audit_leaks(algorithm, *, grace: int = 0, label: Optional[str] = None) -> Le
       these leaks hide).
 
     ``grace`` exists for structures that legitimately retain a bounded
-    overhang; the stock fast path needs none.
+    overhang; the stock structures need none.
     """
     name = label if label is not None else getattr(
         algorithm, "name", type(algorithm).__name__

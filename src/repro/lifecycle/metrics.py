@@ -9,7 +9,7 @@ machinery on :mod:`repro.obs`):
   timer population;
 * ``lifecycle_retention`` -- live PCBs vs interned fast-path keys, the
   pair the leak audit compares.  A structure with no intern table
-  (the references) publishes only the live count.
+  (sendrecv, multicache) publishes only the live count.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ def count_interned(algorithm) -> Optional[int]:
 
     Duck-typed: sums ``interned_entries`` over the structure itself
     and, for sharded facades, every shard.  Returns ``None`` when
-    nothing interns (reference structures) -- "no intern table" and
+    nothing interns (sendrecv, multicache) -- "no intern table" and
     "empty intern table" are different answers to a leak audit.
     """
     total: Optional[int] = None

@@ -9,10 +9,10 @@ whether a cache satisfies it:
 * every cache slot's contents (BSD's last-found slot, Partridge/Pink's
   send/recv pair, the k-entry LRU in LRU order, Sequent's per-chain
   slots);
-* the fast path's logical state -- restoring re-interns exactly one
-  key per live connection, re-establishing the KeyCache census and the
-  parallel key/PCB arrays -- plus the fast-path counters for
-  observability continuity;
+* the interned structures' logical state -- restoring re-interns
+  exactly one key per live connection, re-establishing the KeyCache
+  census and the parallel key/PCB arrays -- plus the interning
+  counters for observability continuity;
 * connection-ID slot/free-list layout (IDs must survive restore);
 * sharded wrappers: per-shard snapshots, the flow-director home table,
   steering state (round-robin cursor, sticky pins), migration counts;
@@ -56,19 +56,14 @@ from ..core.base import DemuxAlgorithm
 from ..core.bsd import BSDDemux
 from ..core.connection_id import ConnectionIdDemux
 from ..core.hashed_mtf import HashedMTFDemux
+from ..core.keycache import InternedDemux
 from ..core.multicache import MultiCacheDemux
 from ..core.pcb import PCB
 from ..core.registry import make_algorithm
 from ..core.sendrecv import SendRecvDemux
 from ..core.sequent import SequentDemux
 from ..core.stats import DemuxStats
-from ..fastpath.algorithms import (
-    FastBSDDemux,
-    FastCuckooDemux,
-    FastHashedMTFDemux,
-    FastSequentDemux,
-    _FastDemuxBase,
-)
+from ..fastpath.cuckoo import FastCuckooDemux
 from ..hashing.functions import HASH_FUNCTIONS
 from ..packet.addresses import FourTuple
 from ..smp.sharded import ShardedDemux
@@ -232,9 +227,9 @@ def _capture_extra(algorithm: DemuxAlgorithm) -> Dict[str, Any]:
         ]
     elif isinstance(algorithm, (SequentDemux, HashedMTFDemux)):
         extra["chain_caches"] = [
-            [index, _tuple_to_wire(chain.cache.four_tuple)]
-            for index, chain in enumerate(algorithm._chains)
-            if chain.cache is not None
+            [index, _tuple_to_wire(slot.pcb.four_tuple)]
+            for index, slot in enumerate(algorithm._caches)
+            if slot.key is not None
         ]
         if isinstance(algorithm, SequentDemux):
             extra["overload_events"] = algorithm.chain_overload_events
@@ -243,16 +238,6 @@ def _capture_extra(algorithm: DemuxAlgorithm) -> Dict[str, Any]:
             _cache_wire(pcb) for pcb in algorithm._slots
         ]
         extra["free"] = list(algorithm._free)
-    elif isinstance(algorithm, FastBSDDemux):
-        extra["cache"] = _cache_wire(algorithm.cached_pcb)
-    elif isinstance(algorithm, (FastSequentDemux, FastHashedMTFDemux)):
-        extra["chain_caches"] = [
-            [index, _tuple_to_wire(slot.pcb.four_tuple)]
-            for index, slot in enumerate(algorithm._caches)
-            if slot.key is not None
-        ]
-        if isinstance(algorithm, FastSequentDemux):
-            extra["overload_events"] = algorithm.chain_overload_events
     elif isinstance(algorithm, FastCuckooDemux):
         # The physical layout *is* the decision state: slot placement
         # came from kickout history that an insert replay cannot
@@ -273,7 +258,7 @@ def _capture_extra(algorithm: DemuxAlgorithm) -> Dict[str, Any]:
             ],
             "counters": algorithm.cuckoo_counters.as_dict(),
         }
-    if isinstance(algorithm, _FastDemuxBase):
+    if isinstance(algorithm, InternedDemux):
         # The KeyCache intern census: one memo per live connection by
         # the memory-bounds contract.  Recorded for post-restore
         # verification; counters for observability continuity.
@@ -532,7 +517,8 @@ def _restore_extra(
     if isinstance(algorithm, BSDDemux):
         wire = extra.get("cache")
         if wire is not None:
-            algorithm._cache = resolver.cached(wire, "bsd cache")
+            pcb = resolver.cached(wire, "bsd cache")
+            algorithm._cache.set(pcb.four_tuple.key_bits(), pcb)
     elif isinstance(algorithm, SendRecvDemux):
         for field, label in (
             ("_recv_cache", "recv_cache"), ("_send_cache", "send_cache"),
@@ -546,29 +532,14 @@ def _restore_extra(
             algorithm._cache[pcb.four_tuple] = pcb
     elif isinstance(algorithm, (SequentDemux, HashedMTFDemux)):
         for index, wire in extra.get("chain_caches", []):
-            _check_chain(algorithm._chains, index)
-            algorithm._chains[index].cache = resolver.cached(
-                wire, f"chain {index} cache"
-            )
+            _check_chain(algorithm._caches, index)
+            pcb = resolver.cached(wire, f"chain {index} cache")
+            algorithm._caches[index].set(pcb.four_tuple.key_bits(), pcb)
         if isinstance(algorithm, SequentDemux):
             algorithm.chain_overload_events = int(
                 extra.get("overload_events", 0)
             )
-    elif isinstance(algorithm, FastBSDDemux):
-        wire = extra.get("cache")
-        if wire is not None:
-            pcb = resolver.cached(wire, "bsd cache")
-            algorithm._cache.set(pcb.four_tuple.key_bits(), pcb)
-    elif isinstance(algorithm, (FastSequentDemux, FastHashedMTFDemux)):
-        for index, wire in extra.get("chain_caches", []):
-            _check_chain(algorithm._caches, index)
-            pcb = resolver.cached(wire, f"chain {index} cache")
-            algorithm._caches[index].set(pcb.four_tuple.key_bits(), pcb)
-        if isinstance(algorithm, FastSequentDemux):
-            algorithm.chain_overload_events = int(
-                extra.get("overload_events", 0)
-            )
-    if isinstance(algorithm, _FastDemuxBase):
+    if isinstance(algorithm, InternedDemux):
         counters = extra.get("fastpath", {}).get("counters")
         if counters:
             for field, value in counters.items():
@@ -586,7 +557,7 @@ def _check_chain(chains: List[Any], index: Any) -> None:
 def _verify_fastpath_census(
     algorithm: DemuxAlgorithm, extra: Dict[str, Any]
 ) -> None:
-    if not isinstance(algorithm, _FastDemuxBase):
+    if not isinstance(algorithm, InternedDemux):
         return
     interned = algorithm.interned_entries
     if interned != len(algorithm):

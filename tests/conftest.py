@@ -13,22 +13,27 @@ from repro.core.linear import LinearDemux
 from repro.core.mtf import MoveToFrontDemux
 from repro.core.multicache import MultiCacheDemux
 from repro.core.pcb import PCB
+from repro.core.registry import make_algorithm
 from repro.core.sendrecv import SendRecvDemux
 from repro.core.sequent import SequentDemux
-from repro.fastpath.algorithms import (
-    FastBSDDemux,
-    FastCuckooDemux,
-    FastHashedMTFDemux,
-    FastLinearDemux,
-    FastMTFDemux,
-    FastSequentDemux,
-)
+from repro.fastpath.cuckoo import FastCuckooDemux
 from repro.packet.addresses import FourTuple, IPv4Address
 
-#: Factories for every demux algorithm, keyed by registry name.  Tests
-#: that assert interface-level behaviour parametrize over these; the
-#: ``fast-`` twins ride along so every interface-level test also runs
-#: against the array-backed hot path.
+from demux_oracle import (
+    BSDOracle,
+    HashedMTFOracle,
+    LinearOracle,
+    MoveToFrontOracle,
+    SequentOracle,
+)
+
+#: Factories for every demux algorithm.  Tests that assert
+#: interface-level behaviour parametrize over these.  Each structure's
+#: class appears once under its paper name; the ``fast-`` entries
+#: build the same classes through the registry from the alias
+#: spelling, so the spec path is held to the same contract; the
+#: ``oracle-`` entries are the list-walking references from
+#: tests/demux_oracle.py, which must pass every contract too.
 ALL_ALGORITHM_FACTORIES = {
     "linear": LinearDemux,
     "bsd": BSDDemux,
@@ -38,16 +43,21 @@ ALL_ALGORITHM_FACTORIES = {
     "sequent": lambda: SequentDemux(7),
     "hashed_mtf": lambda: HashedMTFDemux(7),
     "connection_id": ConnectionIdDemux,
-    "fast-linear": FastLinearDemux,
-    "fast-bsd": FastBSDDemux,
-    "fast-mtf": FastMTFDemux,
-    "fast-sequent": lambda: FastSequentDemux(7),
-    "fast-hashed_mtf": lambda: FastHashedMTFDemux(7),
     # Small geometry so interface-level churn also exercises kickouts,
     # the stash, and resizes (not just the easy free-slot path).
     "fast-cuckoo": lambda: FastCuckooDemux(
         buckets=2, slots=2, stash=2, kick=4
     ),
+    "fast-linear": lambda: make_algorithm("fast-linear"),
+    "fast-bsd": lambda: make_algorithm("fast-bsd"),
+    "fast-mtf": lambda: make_algorithm("fast-mtf"),
+    "fast-sequent": lambda: make_algorithm("fast-sequent:h=7"),
+    "fast-hashed_mtf": lambda: make_algorithm("fast-hashed_mtf:h=7"),
+    "oracle-linear": LinearOracle,
+    "oracle-bsd": BSDOracle,
+    "oracle-mtf": MoveToFrontOracle,
+    "oracle-sequent": lambda: SequentOracle(7),
+    "oracle-hashed_mtf": lambda: HashedMTFOracle(7),
 }
 
 
@@ -80,7 +90,9 @@ def any_algorithm(request):
 @pytest.fixture(
     params=["linear", "bsd", "mtf", "multicache", "sendrecv", "sequent",
             "hashed_mtf", "fast-linear", "fast-bsd", "fast-mtf",
-            "fast-sequent", "fast-hashed_mtf"]
+            "fast-sequent", "fast-hashed_mtf", "oracle-linear",
+            "oracle-bsd", "oracle-mtf", "oracle-sequent",
+            "oracle-hashed_mtf"]
 )
 def scanning_algorithm(request):
     """Algorithms whose lookups actually scan (excludes connection_id)."""

@@ -2,13 +2,17 @@
 
 Run from the repository root::
 
-    PYTHONPATH=src python tests/golden/generate_golden.py
+    PYTHONPATH=src:tests python tests/golden/generate_golden.py
 
 Each golden file pins the per-packet decisions -- ``[found, examined,
-cache_hit]`` -- of every reference algorithm on one seeded TPC/A stream
-(see :mod:`repro.fastpath.conformance`).  The files are committed;
-regenerating them should be a no-op unless reference semantics changed
-on purpose, in which case the diff *is* the review artifact.
+cache_hit]`` -- of the paper's five structures on one seeded stream
+(see :mod:`repro.fastpath.conformance`), recorded from the list-walking
+oracle in ``tests/demux_oracle.py``, never from the code under test.
+The files are committed; regenerating them should be a no-op unless
+the oracle's semantics changed on purpose, in which case the diff *is*
+the review artifact.  The cuckoo goldens have no oracle and are
+recorded from the registry spec itself.  ``snapshots/`` holds fixed
+fixtures this script does not write.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import json
 import pathlib
 import sys
 
+from demux_oracle import make_oracle
 from repro.fastpath.conformance import (
     churn_ops,
     decision_trace,
@@ -42,9 +47,7 @@ CHURN_STREAMS = (
     ("churn_seed404", {"seed": 404, "steps": 4000}),
 )
 
-#: Reference specs recorded in each file.  Every spec here must have a
-#: ``fast-`` twin; tests/test_fastpath_golden.py derives the twin by
-#: prefixing.
+#: Specs recorded in each file, each replayed through its oracle.
 ALGORITHMS = (
     "linear",
     "bsd",
@@ -54,8 +57,8 @@ ALGORITHMS = (
 )
 
 #: Cuckoo goldens live in the ``cuckoo/`` subdirectory -- they have no
-#: reference twin, so the main suite's prefixing convention does not
-#: apply (tests/test_cuckoo_golden.py owns them).  Geometries are
+#: oracle, so they are recorded from the spec itself
+#: (tests/test_cuckoo_golden.py owns them).  Geometries are
 #: chosen to pin different behaviours: the default table, a tiny table
 #: that must resize (and kick, and stash) under the stream, and the
 #: sharded composition.
@@ -81,19 +84,21 @@ def build_golden(seed: int, n_users: int, duration: float) -> dict:
         "stream": {"seed": seed, "n_users": n_users, "duration": duration},
         "packets": len(stream.packets),
         "decisions": {
-            spec: decision_trace(spec, stream) for spec in ALGORITHMS
+            spec: decision_trace(make_oracle(spec), stream)
+            for spec in ALGORITHMS
         },
     }
 
 
-def build_churn_golden(seed: int, steps: int, algorithms=ALGORITHMS) -> dict:
+def build_churn_golden(seed: int, steps: int, algorithms=ALGORITHMS,
+                       build=make_oracle) -> dict:
     ops = churn_ops(seed, steps=steps)
     return {
         "mode": "churn",
         "churn": {"seed": seed, "steps": steps},
         "lookups": sum(1 for op in ops if op[0] == "lookup"),
         "decisions": {
-            spec: mutation_trace(spec, ops)[0] for spec in algorithms
+            spec: mutation_trace(build(spec), ops)[0] for spec in algorithms
         },
     }
 
@@ -136,7 +141,8 @@ def main() -> int:
     for stem, params in CUCKOO_CHURN_STREAMS:
         path = cuckoo_dir / f"{stem}.json"
         golden = build_churn_golden(
-            **params, algorithms=CUCKOO_ALGORITHMS
+            **params, algorithms=CUCKOO_ALGORITHMS,
+            build=lambda spec: spec,  # no oracle: the spec itself
         )
         path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
         print(f"wrote cuckoo/{path.name}: {golden['churn']['steps']} churn"

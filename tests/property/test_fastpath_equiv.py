@@ -1,14 +1,14 @@
-"""Differential property tests: each fast twin vs its reference.
+"""Differential property tests: each structure vs its list-walking oracle.
 
 Hypothesis drives random insert/remove/lookup/note_send command
 sequences -- including duplicate inserts, removes of absent keys, and
-lookups of keys that were never installed -- at a reference structure
-and its ``fast-`` twin in lockstep, asserting after every command that
-they are indistinguishable: same lookup outcomes (found key, examined
-count, cache hit), same exceptions, same ``DemuxStats``, same
-population, same iteration order.  A second pass replays the same
-lookups through ``lookup_batch`` and asserts the batch path changes
-nothing either.
+lookups of keys that were never installed -- at the oracle from
+``tests/demux_oracle.py`` and the production structure in lockstep,
+asserting after every command that they are indistinguishable: same
+lookup outcomes (found key, examined count, cache hit), same
+exceptions, same ``DemuxStats``, same population, same iteration
+order.  A second pass replays the same lookups through
+``lookup_batch`` and asserts the batch path changes nothing either.
 """
 
 from hypothesis import given, settings
@@ -23,27 +23,28 @@ from repro.core.mtf import MoveToFrontDemux
 from repro.core.pcb import PCB
 from repro.core.sequent import SequentDemux
 from repro.core.stats import PacketKind
-from repro.fastpath.algorithms import (
-    FastBSDDemux,
-    FastHashedMTFDemux,
-    FastLinearDemux,
-    FastMTFDemux,
-    FastSequentDemux,
-)
 from repro.packet.addresses import FourTuple, IPv4Address
+
+from demux_oracle import (
+    BSDOracle,
+    HashedMTFOracle,
+    LinearOracle,
+    MoveToFrontOracle,
+    SequentOracle,
+)
 
 SERVER = IPv4Address("10.0.0.1")
 
-#: (label, reference factory, fast factory) -- every registered pair.
+#: (label, oracle factory, production factory) -- all five structures.
 PAIRS = [
-    ("linear", LinearDemux, FastLinearDemux),
-    ("bsd", BSDDemux, FastBSDDemux),
-    ("mtf", MoveToFrontDemux, FastMTFDemux),
-    ("sequent", lambda: SequentDemux(5), lambda: FastSequentDemux(5)),
+    ("linear", LinearOracle, LinearDemux),
+    ("bsd", BSDOracle, BSDDemux),
+    ("mtf", MoveToFrontOracle, MoveToFrontDemux),
+    ("sequent", lambda: SequentOracle(5), lambda: SequentDemux(5)),
     (
         "hashed_mtf",
+        lambda: HashedMTFOracle(3),
         lambda: HashedMTFDemux(3),
-        lambda: FastHashedMTFDemux(3),
     ),
 ]
 
@@ -141,7 +142,7 @@ def test_fast_twin_is_decision_identical(label, ref_factory, fast_factory, scrip
 def test_batch_path_matches_reference_loop(
     label, ref_factory, fast_factory, npcbs, lookups
 ):
-    """fast.lookup_batch == reference per-call loop, stats included.
+    """lookup_batch == the oracle's per-call loop, stats included.
 
     Keys range past ``npcbs`` so batches mix present and absent keys.
     """

@@ -1,9 +1,9 @@
-"""Lockstep: fast-sequent ``lookup_batch`` vs its own per-call ``lookup``.
+"""Lockstep: Sequent's ``lookup_batch`` vs its own per-call ``lookup``.
 
 The cache-first batch path decides every packet's cache hit or miss
 before it scans anything, then scans only the found misses and fills
 in PCBs last.  Hypothesis drives two identically built
-:class:`FastSequentDemux` instances at small ``h`` (1-3, so chains are
+:class:`SequentDemux` instances at small ``h`` (1-3, so chains are
 shared and caches are contended) through random scripts of inserts,
 removes and batches -- batches repeat keys, hit a cache set by an
 earlier in-batch miss, and miss on dead flows -- and asserts after
@@ -19,10 +19,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 import pytest
 
-import repro.fastpath.tables as tables
+import repro.core.tables as tables
 from repro.core.pcb import PCB
+from repro.core.sequent import SequentDemux
 from repro.core.stats import PacketKind
-from repro.fastpath.algorithms import FastSequentDemux
 from repro.packet.addresses import FourTuple, IPv4Address
 
 SERVER = IPv4Address("10.0.0.1")
@@ -84,7 +84,7 @@ _SET_THEN_HIT = [
 ]
 
 
-def cache_state(alg: FastSequentDemux):
+def cache_state(alg: SequentDemux):
     return [(slot.key, slot.pcb) for slot in alg._caches]
 
 
@@ -97,7 +97,7 @@ def cache_state(alg: FastSequentDemux):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_batch_equals_per_call_loop(gate, h, script):
-    batched, looped = FastSequentDemux(h), FastSequentDemux(h)
+    batched, looped = SequentDemux(h), SequentDemux(h)
     live = {}
     for op, arg in script:
         if op == "insert":

@@ -1,6 +1,6 @@
 """Tests for the benchmark-regression gate (repro.fastpath.gate).
 
-These run a miniature sweep (two tiny pairs, short streams) against a
+These run a miniature sweep (two specs, short streams) against a
 ``tmp_path`` trajectory so they are fast and hermetic; the real sweep
 behind ``bench-gate`` differs only in configuration.
 """
@@ -13,19 +13,21 @@ import pytest
 
 from repro.fastpath.gate import (
     _baselines,
+    _load_trajectory,
     GateConfig,
+    Measurement,
     QUICK_CONFIG,
     measure_replay,
     run_gate,
 )
 from repro.workload.record import record_tpca_stream
 
-#: A sweep small enough for unit tests: one pair, tiny streams.  The
+#: A sweep small enough for unit tests: two specs, tiny streams.  The
 #: threshold is deliberately loose (90%) because micro-stream timings
 #: jitter far past the production 10% -- the forged-baseline test below
 #: inflates by 1000x, which trips any threshold.
 TINY = GateConfig(
-    pairs=(("sequent:h=7", "fast-sequent:h=7"),),
+    specs=("bsd", "fast-sequent:h=7"),
     n_sweep=(30,),
     duration=5.0,
     repeats=3,
@@ -35,8 +37,8 @@ TINY = GateConfig(
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="pair"):
-        GateConfig(pairs=())
+    with pytest.raises(ValueError, match="spec"):
+        GateConfig(specs=())
     with pytest.raises(ValueError, match="repeats"):
         GateConfig(repeats=0)
     with pytest.raises(ValueError, match="threshold"):
@@ -63,11 +65,11 @@ def test_first_run_creates_trajectory_and_passes(tmp_path):
     data = json.loads(path.read_text())
     assert len(data["entries"]) == 1
     entry = data["entries"][0]
-    assert {"date", "python", "config", "results", "speedups"} <= set(entry)
-    assert len(entry["results"]) == 2  # reference + fast
-    assert len(entry["speedups"]) == 1
-    assert entry["speedups"][0]["fast"] == "fast-sequent:h=7"
-    assert entry["speedups"][0]["speedup"] > 0
+    assert {"date", "python", "config", "results"} <= set(entry)
+    assert "speedups" not in entry
+    assert [result["algorithm"] for result in entry["results"]] == list(
+        TINY.specs
+    )
     assert "fast-sequent" in report.render_text()
 
 
@@ -110,7 +112,7 @@ def test_quick_runs_never_gate_against_full_runs(tmp_path):
 
     # Different duration -> different measurement key -> no baseline.
     other = GateConfig(
-        pairs=TINY.pairs, n_sweep=TINY.n_sweep, duration=4.0,
+        specs=TINY.specs, n_sweep=TINY.n_sweep, duration=4.0,
         repeats=1, chunk=32, threshold=TINY.threshold,
     )
     assert run_gate(other, str(path)).ok
@@ -139,8 +141,24 @@ def test_progress_callback_sees_every_spec(tmp_path):
         TINY, str(tmp_path / "t.json"), progress=messages.append
     )
     joined = "\n".join(messages)
-    assert "sequent:h=7" in joined
+    assert "measuring bsd at" in joined
     assert "fast-sequent:h=7" in joined
+
+
+@pytest.mark.parametrize("reap_idle", [None, 2.5])
+def test_measured_keys_match_recorded_baseline_keys(tmp_path, reap_idle):
+    # If the measured and the recorded key drifted apart, the gate
+    # would find no baseline and silently never fire.
+    config = GateConfig(
+        specs=("bsd",), n_sweep=(20,), duration=3.0, repeats=1,
+        chunk=32, threshold=0.9, reap_idle=reap_idle,
+    )
+    path = tmp_path / "t.json"
+    report = run_gate(config, str(path))
+    (result,) = report.entry["results"]
+    measured = Measurement(**result).key(config)
+    recorded = _baselines(_load_trajectory(str(path)))
+    assert recorded == {measured: result["packets_per_sec"]}
 
 
 def _forged_entry(template, scale):

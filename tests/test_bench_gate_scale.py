@@ -17,7 +17,7 @@ from repro.fastpath.gate import (
     GateConfig,
     MAX_SWEEP_USERS,
     SCALE_CONFIG,
-    SCALE_PAIRS,
+    SCALE_SPECS,
     measure_replay,
 )
 from repro.workload.record import record_tpca_stream
@@ -47,8 +47,8 @@ class TestSweepValidation:
                 GateConfig(reap_idle=bad)
 
     def test_scale_config_shape(self):
-        assert SCALE_CONFIG.pairs == SCALE_PAIRS
-        assert any("fast-cuckoo" in fast for _, fast in SCALE_PAIRS)
+        assert SCALE_CONFIG.specs == SCALE_SPECS
+        assert SCALE_SPECS == ("fast-sequent:h=19", "fast-cuckoo")
         assert max(SCALE_CONFIG.n_sweep) >= 100_000
         assert all(n <= MAX_SWEEP_USERS for n in SCALE_CONFIG.n_sweep)
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.fastpath.gate import DEFAULT_SPECS
 
 
 class TestParser:
@@ -261,10 +262,12 @@ class TestBenchGate:
         out = capsys.readouterr().out
         assert code == 0, out
         assert "no regressions" in out
-        assert "speedups" in out
         entries = json.loads(path.read_text())["entries"]
         assert len(entries) == 1
-        assert len(entries[0]["speedups"]) == 5  # one per default pair
+        results = entries[0]["results"]
+        assert [result["algorithm"] for result in results] == list(
+            DEFAULT_SPECS
+        )
 
     def test_warn_only_swallows_regressions(self, tmp_path, capsys):
         import json

@@ -1,20 +1,23 @@
-"""Golden-trace conformance: fast twins vs committed reference traces.
+"""Golden-trace conformance: the structures vs committed oracle traces.
 
-``tests/golden/*.json`` pins the per-packet decisions of every
-reference algorithm on seeded streams (regenerate with ``PYTHONPATH=src
-python tests/golden/generate_golden.py``).  Two stream shapes:
+``tests/golden/*.json`` pins the per-packet decisions of the paper's
+five structures on seeded streams, recorded from the list-walking
+oracle in ``tests/demux_oracle.py`` (regenerate with
+``PYTHONPATH=src:tests python tests/golden/generate_golden.py``).  Two
+stream shapes:
 
 * *TPC/A* goldens replay a static connection population -- inserts up
   front, then lookups only;
 * the *churn* golden replays a mutation-heavy walk where inserts and
   removes interleave with the lookups, pinning the remove/evict path
-  (including the fast path's intern-table eviction) that the static
-  streams never touch.
+  (including the intern-table eviction) that the static streams never
+  touch.
 
-Each golden is asserted byte-for-byte three ways: the references still
-reproduce their own traces (semantic drift in ``repro.core`` shows up
-here first), each ``fast-`` twin reproduces them per-call, and each
-twin reproduces them through ``lookup_batch`` at awkward batch sizes.
+Each golden is asserted byte-for-byte three ways: the oracle still
+reproduces its own traces (drift in the oracle shows up here first),
+each structure reproduces them per-call -- under its paper name and
+under the ``fast-`` spelling -- and through ``lookup_batch`` at
+awkward batch sizes.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import pathlib
 
 import pytest
 
+from demux_oracle import make_oracle
 from repro.fastpath.conformance import (
     churn_ops,
     decision_trace,
@@ -44,8 +48,9 @@ def golden(request):
     """One golden file plus a mode-appropriate replay closure.
 
     ``replay(spec, use_batch=..., batch_size=...)`` returns the
-    decision trace of ``spec`` on this golden's stream, whatever its
-    mode, so every assertion below is mode-agnostic.
+    decision trace of ``spec`` (a registry spec or an empty structure)
+    on this golden's stream, whatever its mode, so every assertion
+    below is mode-agnostic.
     """
     data = load_golden(GOLDEN_DIR / request.param)
     if data.get("mode") == "churn":
@@ -91,14 +96,16 @@ def test_stream_shape_matches_golden(golden):
 
 
 def test_reference_reproduces_golden(golden):
+    # The oracle that recorded the goldens still reproduces them.
     data, replay = golden
     for spec, expected in data["decisions"].items():
-        assert replay(spec) == expected, spec
+        assert replay(make_oracle(spec)) == expected, spec
 
 
 def test_fast_reproduces_golden_per_call(golden):
     data, replay = golden
     for spec, expected in data["decisions"].items():
+        assert replay(spec) == expected, spec
         assert replay(f"fast-{spec}") == expected, spec
 
 
@@ -106,19 +113,20 @@ def test_fast_reproduces_golden_per_call(golden):
 def test_fast_reproduces_golden_batched(golden, batch_size):
     data, replay = golden
     for spec, expected in data["decisions"].items():
-        trace = replay(f"fast-{spec}", use_batch=True, batch_size=batch_size)
+        trace = replay(spec, use_batch=True, batch_size=batch_size)
         assert trace == expected, (spec, batch_size)
 
 
 def test_sharded_fast_matches_sharded_reference(golden):
-    # The composed prefixes: sharded facade over fast shards, batched.
-    # Sharding changes examined counts (each shard scans its own slice),
-    # so the oracle is the sharded *reference*, replayed per-call.
+    # The composed prefixes: a sharded facade over the structures,
+    # batched.  Sharding changes examined counts (each shard scans its
+    # own slice), so the reference is the sharded *oracle*, replayed
+    # per-call behind the same steering.
     data, replay = golden
     for spec in data["decisions"]:
         name, _, params = spec.partition(":")
         suffix = f",{params}" if params else ""
-        reference = replay(f"sharded-{name}:shards=4" + suffix)
+        reference = replay(make_oracle(f"sharded-{name}:shards=4" + suffix))
         fast = replay(
             f"sharded-fast-{name}:shards=4" + suffix, use_batch=True
         )
@@ -127,12 +135,12 @@ def test_sharded_fast_matches_sharded_reference(golden):
 
 def test_churn_leaves_intern_tables_exactly_live(golden):
     # Memory-bounds contract on the golden churn stream: after the
-    # walk, each fast structure holds one interned key per live
+    # walk, each structure holds one interned key per live
     # connection -- no retained memos for removed or probed-only ones.
     data, _ = golden
     if data.get("mode") != "churn":
         pytest.skip("intern-table census only applies to churn goldens")
     ops = churn_ops(data["churn"]["seed"], steps=data["churn"]["steps"])
     for spec in data["decisions"]:
-        _, algorithm = mutation_trace(f"fast-{spec}", ops)
+        _, algorithm = mutation_trace(spec, ops)
         assert algorithm.interned_entries == len(algorithm), spec

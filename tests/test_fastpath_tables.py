@@ -1,30 +1,31 @@
-"""Unit tests for the fast-path building blocks.
+"""Unit tests for the slot-table building blocks.
 
-The golden and differential suites prove the assembled structures are
-decision-identical; these tests pin the pieces those suites build on --
-key interning, flat slot tables, single-entry cache slots, the batch
-mixin's counters and hook fallback, and the metrics exporter -- plus
-the base-class default ``lookup_batch`` every reference algorithm
-inherits.
+The golden and differential suites prove the assembled structures
+decision-identical to the oracle; these tests pin the pieces those
+suites build on -- key interning, flat slot tables, single-entry cache
+slots, the batch mixin's counters and hook fallback, and the metrics
+exporter -- plus the base-class default ``lookup_batch`` that the
+structures without an intern table inherit.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.linear import LinearDemux
+from repro.core.batch import as_packets
+from repro.core.bsd import BSDDemux
+from repro.core.keycache import FastpathCounters, KeyCache
 from repro.core.pcb import PCB
+from repro.core.sequent import SequentDemux
 from repro.core.stats import PacketKind
-from repro.fastpath.algorithms import FastBSDDemux, FastSequentDemux
-from repro.fastpath.batch import as_packets
-from repro.fastpath.keycache import FastpathCounters, KeyCache
+from repro.core.tables import CachedSlot, SlotTable
 from repro.fastpath.metrics import publish_fastpath
-from repro.fastpath.tables import CachedSlot, SlotTable
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import LookupProfiler
 from repro.obs.trace import RingBufferSink, Tracer
 
 from conftest import make_tuple
+from demux_oracle import LinearOracle
 
 
 class TestKeyCache:
@@ -144,7 +145,7 @@ class TestCachedSlot:
 
 class TestBatchMixin:
     def build(self, n=6):
-        demux = FastSequentDemux(3)
+        demux = SequentDemux(3)
         for i in range(n):
             demux.insert(PCB(make_tuple(i)))
         return demux
@@ -208,18 +209,18 @@ class TestDefaultLookupBatch:
 
 class TestPublishFastpath:
     def test_exports_counters_as_gauges(self):
-        demux = FastBSDDemux()
+        demux = BSDDemux()
         demux.insert(PCB(make_tuple(0)))
         demux.lookup_batch(as_packets([make_tuple(0), make_tuple(0)]))
         registry = MetricsRegistry()
         assert publish_fastpath(registry, demux) is True
         gauge = registry.gauge("fastpath_counters")
-        assert gauge.value(algorithm="fast-bsd", counter="batch_calls") == 1
-        assert gauge.value(algorithm="fast-bsd", counter="batched_lookups") == 2
+        assert gauge.value(algorithm="bsd", counter="batch_calls") == 1
+        assert gauge.value(algorithm="bsd", counter="batched_lookups") == 2
 
     def test_reference_algorithm_is_a_noop(self):
         registry = MetricsRegistry()
-        assert publish_fastpath(registry, LinearDemux()) is False
+        assert publish_fastpath(registry, LinearOracle()) is False
         assert len(registry) == 0
 
     def test_sharded_fast_exports_per_shard(self):

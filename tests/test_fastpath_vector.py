@@ -9,7 +9,7 @@ These tests pin all three claims:
 * unit equivalence of ``scan_batch`` against a scalar ``scan`` loop on
   randomized tables and query mixes, on both the numpy and loop paths;
 * whole-suite equivalence: every committed golden replayed through
-  every ``fast-*`` twin's batched path forced onto the loop must still
+  every structure's batched path forced onto the loop must still
   reproduce the committed decisions;
 * the speedup itself (marked slow): at N >= 10^3 the vectorized scan
   beats the ``list.index`` loop on the same table.
@@ -25,15 +25,15 @@ import time
 
 import pytest
 
-import repro.fastpath.tables as tables
+import repro.core.tables as tables
 from repro.core.pcb import PCB
+from repro.core.tables import SlotTable
 from repro.fastpath.conformance import (
     churn_ops,
     decision_trace,
     golden_stream,
     mutation_trace,
 )
-from repro.fastpath.tables import SlotTable
 from repro.packet.addresses import FourTuple, IPv4Address
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"

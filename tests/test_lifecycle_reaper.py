@@ -211,5 +211,5 @@ class TestMetrics:
         assert gauge("lifecycle_retention", "population", "interned_keys") == 0
 
     def test_count_interned_none_for_reference_structures(self):
-        assert count_interned(make_algorithm("linear")) is None
-        assert count_interned(make_algorithm("fast-linear")) == 0
+        assert count_interned(make_algorithm("multicache")) is None
+        assert count_interned(make_algorithm("linear")) == 0

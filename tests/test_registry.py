@@ -3,12 +3,17 @@
 import pytest
 
 from repro.core.bsd import BSDDemux
+from repro.core.connection_id import ConnectionIdDemux
 from repro.core.hashed_mtf import HashedMTFDemux
 from repro.core.registry import available_algorithms, make_algorithm
 from repro.core.sequent import SequentDemux
+from repro.fastpath.cuckoo import FastCuckooDemux
 from repro.hashing.functions import xor_fold
 
 from conftest import make_pcbs
+
+#: The paper's five structures, as specs.
+PAPER_STRUCTURES = ["linear", "bsd", "mtf", "sequent:h=5", "hashed_mtf:h=3"]
 
 
 class TestLookupByName:
@@ -78,7 +83,7 @@ class TestParameterizedSpecs:
             make_algorithm("sequent:h")
 
     def test_unknown_hash_rejected(self):
-        with pytest.raises(KeyError, match="known:"):
+        with pytest.raises(ValueError, match="known:"):
             make_algorithm("sequent:hash=sha512")
 
     def test_fresh_instance_per_call(self):
@@ -126,21 +131,49 @@ class TestRejectionMessages:
 
 
 class TestFastVariants:
+    """``fast-`` is a spelling alias: same class, the caller's spec kept."""
+
     @pytest.mark.parametrize(
         "name", ["fast-linear", "fast-bsd", "fast-mtf", "fast-sequent",
                  "fast-hashed_mtf"]
     )
     def test_every_fast_name_constructs(self, name):
         algorithm = make_algorithm(name)
-        assert algorithm.name == name
+        assert algorithm.name == name[len("fast-"):]
         for pcb in make_pcbs(3):
             algorithm.insert(pcb)
         assert len(algorithm) == 3
 
-    def test_fast_names_are_advertised(self):
+    @pytest.mark.parametrize("spec", PAPER_STRUCTURES)
+    def test_alias_builds_the_same_class(self, spec):
+        plain = make_algorithm(spec)
+        fast = make_algorithm("fast-" + spec)
+        assert type(fast) is type(plain)
+        assert plain.spec == spec
+        assert fast.spec == "fast-" + spec
+
+    @pytest.mark.parametrize("spec", PAPER_STRUCTURES)
+    def test_sharded_alias_builds_the_same_shards(self, spec):
+        name, _, params = spec.partition(":")
+        suffix = f",{params}" if params else ""
+        plain = make_algorithm(f"sharded-{name}:shards=2" + suffix)
+        fast = make_algorithm(f"sharded-fast-{name}:shards=2" + suffix)
+        assert type(fast) is type(plain)
+        assert [type(shard) for shard in fast.shards] == [
+            type(shard) for shard in plain.shards
+        ]
+        assert fast.spec == f"sharded-fast-{name}:shards=2" + suffix
+
+    def test_spec_is_stamped_verbatim(self):
+        assert make_algorithm(" FAST-Sequent:h=7 ").spec == "FAST-Sequent:h=7"
+
+    def test_each_structure_listed_once(self):
         names = list(available_algorithms())
-        assert "fast-sequent" in names
         assert names == sorted(names)
+        assert len(names) == len(set(names))
+        assert not [name for name in names if name.startswith("fast-")]
+        assert {"linear", "bsd", "mtf", "sequent", "hashed_mtf",
+                "cuckoo"} <= set(names)
 
     def test_fast_accepts_reference_options(self):
         demux = make_algorithm("fast-sequent:h=51,hash=xor_fold,overload=9")
@@ -154,15 +187,50 @@ class TestFastVariants:
         assert off._per_chain_cache is False
 
     def test_unknown_fast_name_lists_known(self):
-        with pytest.raises(ValueError, match="fast-sequent"):
+        with pytest.raises(ValueError, match="'fast-btree'; known: .*sequent"):
             make_algorithm("fast-btree")
 
-    def test_fast_has_no_connection_id_twin(self):
-        with pytest.raises(ValueError, match="known:"):
-            make_algorithm("fast-connection_id")
+    def test_alias_applies_to_every_name(self):
+        assert isinstance(
+            make_algorithm("fast-connection_id"), ConnectionIdDemux
+        )
+        assert isinstance(make_algorithm("cuckoo"), FastCuckooDemux)
 
     def test_sharded_fast_composes(self):
         demux = make_algorithm("sharded-fast-sequent:shards=4,h=5")
         assert demux.nshards == 4
-        assert demux.name == "sharded-fast-sequent"
+        assert demux.name == "sharded-sequent"
         assert demux.shards[0].nchains == 5
+
+
+class TestOptionValues:
+    """A bad option value fails as loudly as a bad option name."""
+
+    @pytest.mark.parametrize(
+        "spec,match",
+        [
+            ("sequent:hash=crc17", r"'hash' of 'sequent'.*known: .*crc16"),
+            ("fast-sequent:hash=crc17", r"'hash' of 'fast-sequent'"),
+            ("hashed_mtf:cache=flase", r"'cache' of 'hashed_mtf'.*yes, true"),
+            ("hashed_mtf:cache=2", r"'cache'"),
+            ("sequent:h=abc", r"'h' of 'sequent'.*an integer"),
+            ("sequent:overload=x", r"'overload'.*an integer"),
+            ("multicache:k=1.5", r"'k' of 'multicache'.*an integer"),
+            ("connection_id:max=", r"'max'.*an integer"),
+            ("cuckoo:buckets=many", r"'buckets' of 'cuckoo'"),
+            ("sharded-bsd:shards=four", r"'shards' of 'sharded-bsd'"),
+            ("sharded-bsd:steer=hash=crc17", r"'steer'.*known:"),
+        ],
+    )
+    def test_bad_value_is_a_value_error_naming_the_option(self, spec, match):
+        with pytest.raises(ValueError, match=match):
+            make_algorithm(spec)
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [("1", True), ("yes", True), ("TRUE", True),
+         ("0", False), ("no", False), ("False", False)],
+    )
+    def test_cache_flag_spellings(self, text, expected):
+        demux = make_algorithm(f"hashed_mtf:h=3,cache={text}")
+        assert demux._per_chain_cache is expected

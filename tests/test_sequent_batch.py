@@ -1,4 +1,4 @@
-"""The cache-first fast-sequent batch path: what it does *not* do.
+"""The cache-first Sequent batch path: what it does *not* do.
 
 The lockstep property tests prove the batch path decision-identical to
 the per-call loop; these deterministic tests pin the mechanism that
@@ -19,9 +19,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.pcb import PCB
+from repro.core.sequent import SequentDemux
 from repro.core.stats import PacketKind
-from repro.fastpath.algorithms import FastSequentDemux
-from repro.fastpath.tables import SlotTable
+from repro.core.tables import SlotTable
 from repro.packet.addresses import FourTuple, IPv4Address
 
 
@@ -32,14 +32,14 @@ def tuple_for(index: int) -> FourTuple:
     )
 
 
-def populated(n: int, h: int = 19) -> FastSequentDemux:
-    alg = FastSequentDemux(h)
+def populated(n: int, h: int = 19) -> SequentDemux:
+    alg = SequentDemux(h)
     for index in range(n):
         alg.insert(PCB(tuple_for(index)))
     return alg
 
 
-def same_chain(alg: FastSequentDemux, chain: int, count: int, start=0):
+def same_chain(alg: SequentDemux, chain: int, count: int, start=0):
     """``count`` live flows on ``chain``, from flow index ``start`` on."""
     flows = []
     index = start
@@ -126,7 +126,7 @@ class TestVectorizeOnlyWhereItPays:
 
 class TestKeyCacheHitsNotInflated:
     def test_inserts_with_overload_threshold_count_no_hits(self):
-        alg = FastSequentDemux(3, overload_threshold=2)
+        alg = SequentDemux(3, overload_threshold=2)
         for index in range(10):
             alg.insert(PCB(tuple_for(index)))
         assert alg.fastpath_counters.key_cache_hits == 0

@@ -43,7 +43,8 @@ class TestRunCanary:
             stream,
             CanaryConfig(
                 candidate="fast-sequent:h=19",
-                incumbent="linear",
+                # Partridge/Pink's list walk: several times slower.
+                incumbent="sendrecv",
                 repeats=1,
             ),
         )
@@ -163,7 +164,7 @@ class TestCanaryCLI:
         code = main(
             [
                 "canary", "fast-sequent:h=19",
-                "--incumbent", "linear",
+                "--incumbent", "sendrecv",
                 "--users", "80", "--duration", "5", "--repeats", "1",
             ]
         )
@@ -191,7 +192,7 @@ class TestCanaryCLI:
         code = main(
             [
                 "canary", "fast-sequent:h=19",
-                "--incumbent", "linear",
+                "--incumbent", "sendrecv",
                 "--users", "60", "--duration", "5", "--repeats", "1",
                 "--json",
             ]
@@ -236,7 +237,7 @@ class TestCanaryCLI:
         code = main(
             [
                 "bench-gate", "--canary", "fast-sequent:h=19",
-                "--incumbent", "sequent:h=19",
+                "--incumbent", "sendrecv",
                 "--capture", path, "--quick", "--repeats", "1",
             ]
         )

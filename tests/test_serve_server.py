@@ -233,7 +233,7 @@ class TestEndToEnd:
 
         asyncio.run(scenario())
         snapshot = report_holder["snapshot"]
-        assert snapshot["algorithm"] == "fast-sequent"
+        assert snapshot["algorithm"] == "sequent"
         assert snapshot["recording"] is True
         assert snapshot["recorded_packets"] == 0
         assert {"active_sessions", "accepted", "uptime_seconds"} <= set(

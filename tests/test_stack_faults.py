@@ -232,8 +232,11 @@ class TestAudit:
 
         pcb = PCB(FourTuple.create("10.0.0.1", 80, "10.0.1.1", 45000))
         server.table.insert(pcb)
-        # Corrupt the structure behind the table's back.
-        server.table.algorithm._pcbs.append(pcb)
+        # Corrupt the structure behind the table's back: a second slot
+        # for the same key in the BSD list's parallel arrays.
+        table = server.table.algorithm._tables[0]
+        table.keys.append(pcb.four_tuple.key_bits())
+        table.pcbs.append(pcb)
         audit = audit_stack(server)
         assert not audit.ok
         assert any("duplicate" in v for v in audit.violations)

@@ -7,7 +7,7 @@ live conversations are untouched.
 """
 
 from repro.core.bsd import BSDDemux
-from repro.fastpath.algorithms import FastSequentDemux
+from repro.core.sequent import SequentDemux
 from repro.lifecycle.metrics import count_interned
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
@@ -57,7 +57,7 @@ class TestIdleReaping:
         assert server.reaped["idle"] == 0
 
     def test_reaping_evicts_fast_path_interned_keys(self):
-        algorithm = FastSequentDemux(7)
+        algorithm = SequentDemux(7)
         sim, net, server, client = build({"idle_timeout": 5.0}, algorithm)
         server.listen(80, on_data=lambda ep, data: None)
         for port_offset in range(4):
