@@ -1,17 +1,25 @@
-"""Overhead budget of the observability hooks (repro.obs).
+"""Overhead budget of the demux observer slot (repro.obs).
 
-The instrumentation contract (see docs/observability.md): with no
-tracer or profiler attached the hot path pays one ``is None`` check per
-operation, and with the profiler at its default sampling rate
-(1/64 lookups timed) the slowdown on a realistic lookup stays under
-5%.  This benchmark measures that contract directly -- min-of-rounds
-wall-clock per lookup, bare vs. instrumented -- and asserts the 5%
-budget on the heavy path (BSD at N=512, uniform targets, ~N/2 PCBs
-examined per lookup).  The fast path (Sequent hashing, a few PCBs per
-lookup) and full tracing (enabled tracer, every event buffered) are
-measured and reported but not asserted: constant per-call costs are a
-much larger fraction of a ~1 us lookup, and full tracing is an opt-in
-debugging mode, not the default configuration.
+The instrumentation contract (see docs/observability.md): with the
+observer slot empty the hot path pays one ``is None`` check per
+operation, and with the profiler at its default sampling rate (1/64
+lookups timed) the slowdown on a realistic lookup stays under 5%.
+This benchmark measures that contract directly -- wall-clock per
+lookup, bare vs. instrumented, as the median of paired round ratios --
+and asserts the 5% budget on BSD at N=512 (uniform targets, ~N/2 PCBs
+examined per lookup), for the default profiler and for the telemetry
+plane (profiler plus packet spans plus sketches).
+
+BSD at N=512 is a slot-table scan since the list walk moved to the
+test-only oracle: ~5-9 us per lookup on a 2-CPU x86 host, not the
+~45 us of the list-walk era, so fixed per-packet observer costs weigh
+~7x more than when the budget was set.  The telemetry-plane case now
+exceeds its budget (~+25-30% there): the unsampled train detector
+compares ``FourTuple``s with Python-level ``__eq__`` on every packet.
+The fast path (Sequent hashing, a few PCBs per lookup) and full
+tracing (every event built and buffered) are measured and reported
+but not asserted: full tracing is an opt-in debugging mode, not the
+default configuration.
 
 Results are also written to ``BENCH_obs.json`` at the repository root
 so the numbers are machine-readable across runs.
@@ -138,9 +146,13 @@ def _measure(spec, instrument, case, asserted):
 
 
 def _default_instrumentation(algorithm):
-    """The default-on configuration: sampled profiler, disabled tracer."""
+    """The default-on configuration: the sampled profiler."""
     LookupProfiler(sample_every=DEFAULT_SAMPLE_EVERY).attach(algorithm)
-    algorithm.tracer = Tracer(RingBufferSink(4096), enabled=False)
+
+
+def _observer(algorithm, cls):
+    (observer,) = [o for o in algorithm.observers() if isinstance(o, cls)]
+    return observer
 
 
 def test_heavy_path_overhead_under_budget():
@@ -153,7 +165,7 @@ def test_heavy_path_overhead_under_budget():
         asserted=True,
     )
     # The profiler really was sampling at the default rate.
-    profiler = inst_alg._profiler
+    profiler = _observer(inst_alg, LookupProfiler)
     assert profiler.sample_every == DEFAULT_SAMPLE_EVERY
     assert profiler.lookups == (ROUNDS + 1) * LOOKUPS_PER_ROUND  # +warm-up
     assert profiler.samples == profiler.lookups // DEFAULT_SAMPLE_EVERY
@@ -170,16 +182,16 @@ def test_fast_path_overhead_reported():
 
 
 def test_full_tracing_cost_reported():
-    """Opt-in worst case: tracer enabled, every lookup builds and
+    """Opt-in worst case: tracer attached, every lookup builds and
     buffers a TraceEvent.  Reported so users can budget for it."""
 
     def full_tracing(algorithm):
-        algorithm.tracer = Tracer(RingBufferSink(4096))
+        algorithm.attach(Tracer(RingBufferSink(4096)))
 
     _, inst_alg = _measure(
         "bsd", full_tracing, "bsd_n512_full_tracing", asserted=False,
     )
-    sink = inst_alg.tracer._sinks[0]
+    sink = _observer(inst_alg, Tracer).sinks[0]
     assert sink.total_emitted == (ROUNDS + 1) * LOOKUPS_PER_ROUND
 
 
@@ -203,7 +215,7 @@ def test_spans_and_sketches_overhead_under_budget():
         "bsd", spans_and_sketches, "bsd_n512_spans_sketch", asserted=True,
     )
     # The collector really saw every packet and sampled at 1/64.
-    collector = inst_alg.spans
+    collector = _observer(inst_alg, SpanCollector)
     total = (ROUNDS + 1) * LOOKUPS_PER_ROUND
     assert collector.sample_every == DEFAULT_SPAN_SAMPLE_EVERY
     assert collector.packets_seen == total

@@ -8,8 +8,8 @@ Three acts:
    behind the structure's back) vs the fixed path, and print the
    interned-key census of each: unbounded vs exactly-live.
 2. **Idle reaping** -- attach a :class:`ConnectionReaper` to a
-   structure, let some connections go quiet, and watch the wheel
-   evict them (and their interned keys) on schedule.
+   structure's observer slot, let some connections go quiet, and
+   watch the wheel evict them (and their interned keys) on schedule.
 3. **Full stack** -- a TCP server with ``idle_timeout`` /
    ``time_wait_timeout`` configured: abandoned clients are aborted on
    the wire, TIME-WAIT quarantines expire at the configured horizon,
@@ -48,9 +48,10 @@ def act_one_the_leak() -> None:
 
 
 def act_two_idle_reaping() -> None:
-    print("=== 2. Idle reaping through the lifecycle hooks ===")
+    print("=== 2. Idle reaping through the observer slot ===")
     algorithm = make_algorithm("fast-mtf")
     reaper = ConnectionReaper(algorithm, idle_timeout=30.0)
+    assert algorithm.observer is reaper
     for i in range(6):
         algorithm.insert(PCB(churn_tuple(i)))
     print(f"  t=0    inserted 6 connections"

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Observability tour: trace, meter, and profile one simulated run.
 
-Runs the TPC/A workload against the Sequent structure with every probe
-attached -- a ring-buffer trace with virtual timestamps, a metrics
-registry exported as JSON and Prometheus text, and the sampled lookup
-profiler -- then shows that the instrumented run's statistics are
+Runs the TPC/A workload against the Sequent structure with a tracer
+(ring buffer, virtual timestamps) and the sampled lookup profiler
+sharing its one observer slot, exports a metrics registry as JSON and
+Prometheus text, then shows that the instrumented run's statistics are
 identical to a bare run with the same seed (the probes observe, they
 never perturb).
 
@@ -29,7 +29,7 @@ def run(instrumented: bool):
     ring = profiler = None
     if instrumented:
         ring = RingBufferSink(10_000)  # keep the newest 10k events
-        algorithm.tracer = Tracer(ring)
+        algorithm.attach(Tracer(ring))
         profiler = LookupProfiler().attach(algorithm)  # 1-in-64 sampling
     TPCADemuxSimulation(CONFIG, algorithm).run()
     return algorithm, ring, profiler

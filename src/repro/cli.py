@@ -837,7 +837,8 @@ def _cmd_simulate(args) -> int:
     # -- telemetry plane: spans, sketches, registry ------------------
     # The span collector must exist before the simulation is built:
     # the workload's bind_tracer_clock (demux path) or the stack ctor
-    # (full-stack path) binds its clock to virtual time.
+    # (full-stack path, which also attaches it) binds its clock to
+    # virtual time.
     wants_spans = (
         bool(args.spans_out)
         or args.sketch
@@ -850,7 +851,8 @@ def _cmd_simulate(args) -> int:
         collector = SpanCollector(
             sample_every=args.span_sample_every or DEFAULT_SPAN_SAMPLE_EVERY
         )
-        collector.attach(algorithm)
+        if not full_stack:
+            collector.attach(algorithm)
     characterizer = None
     if args.sketch:
         from .obs.sketch import TrafficCharacterizer
@@ -880,17 +882,15 @@ def _cmd_simulate(args) -> int:
 
     tracer = None
     if args.trace_out:
-        tracer = Tracer(JsonlSink(args.trace_out))
-        algorithm.tracer = tracer
+        tracer = algorithm.attach(Tracer(JsonlSink(args.trace_out)))
         tracer.attach_simulator(simulation.sim)
 
     profiler = None
     if args.profile or args.profile_sample_every is not None:
-        if args.profile_sample_every is not None:
-            profiler = LookupProfiler(args.profile_sample_every)
-        else:
-            profiler = LookupProfiler()
-        profiler.attach(algorithm)
+        every = args.profile_sample_every
+        profiler = algorithm.attach(
+            LookupProfiler() if every is None else LookupProfiler(every)
+        )
 
     # -- registry publishers -----------------------------------------
     # Counter-backed exporters publish *deltas*, so the periodic
@@ -1078,9 +1078,6 @@ def _cmd_simulate(args) -> int:
 
     if profiler is not None:
         print(f"  profile: {profiler.report().render()}")
-    if tracer is not None:
-        tracer.close()
-        print(f"  trace written to {args.trace_out}")
 
     # -- final publish, health verdict, artifacts --------------------
     if registry is not None:
@@ -1100,6 +1097,9 @@ def _cmd_simulate(args) -> int:
             profile_gauges.set(report.samples, stat="samples")
         health = watchdog.evaluate(registry, now=simulation.sim.now)
         print(f"  health: {health.describe()}")
+    if tracer is not None:
+        tracer.close()  # after the verdict: a health transition is traced
+        print(f"  trace written to {args.trace_out}")
     if collector is not None:
         print(f"  {collector.summary()}")
     if characterizer is not None:

@@ -21,41 +21,39 @@ Under this convention BSD's expected miss cost is the paper's
 ``1 + (N+1)/2``, Partridge/Pink's is ``(N+5)/2``, and Sequent's is
 ``1 + (N/H+1)/2``, exactly as in Sections 3.1-3.4.
 
-Observability hooks (see :mod:`repro.obs` and docs/observability.md):
-the public ``lookup``/``insert``/``remove``/``note_send`` methods are
-template methods wrapping the subclass primitives ``_lookup`` /
-``_insert`` / ``_remove`` / ``_note_send``, so statistics recording,
-event tracing (``self.tracer``), sampled wall-clock profiling
-(attached via ``repro.obs.LookupProfiler``), and causal packet spans
-(``self.spans``, a :class:`repro.obs.SpanCollector`) live in exactly
-one place.  With no tracer, profiler, or span collector attached,
-each operation pays a single ``is None`` check -- none of them ever
-change results, statistics, or RNG state.
-
-Lifecycle hooks (see :mod:`repro.lifecycle` and docs/lifecycle.md):
-``self.lifecycle`` may hold a reaper observing the population --
-``note_insert``/``note_remove`` on mutation, ``note_touch`` on found
-lookups and outbound sends.  Like the tracer, it is ``None`` by
-default and costs one check per operation; unlike the tracer, it may
-*remove* connections (via the public ``remove``), never alter a
-lookup's decision.
+Observers (docs/observability.md): the public ``lookup`` / ``insert``
+/ ``remove`` / ``note_send`` template methods wrap the subclass
+primitives ``_lookup`` / ``_insert`` / ``_remove`` / ``_note_send``
+with statistics and one hook, ``self.observer`` -- ``None`` by default,
+so the bare path pays one ``is None`` check.  :meth:`~DemuxAlgorithm.
+attach` fills it with any object with ``on_lookup(algorithm, lookup,
+tup, kind)``, which calls ``lookup(tup, kind)`` once and returns the
+result (so a profiler can time it), and the notifications
+``on_insert(algorithm, pcb)``, ``on_remove(algorithm, tup)`` and
+``on_send(algorithm, pcb)``.  The tracer, profiler and span collector
+(:mod:`repro.obs`) and the idle reaper (:mod:`repro.lifecycle`) are
+observers; several share the slot through an :class:`ObserverFanout`.
+None changes a decision; the reaper may *remove* connections.
 """
 
 from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..packet.addresses import FourTuple
 from .pcb import PCB
 from .stats import DemuxStats, PacketKind
 
-if TYPE_CHECKING:  # obs never imports core; this edge is type-only
-    from ..obs.profile import LookupProfiler
-    from ..obs.trace import Tracer
-
-__all__ = ["DemuxError", "DuplicateConnectionError", "LookupResult", "DemuxAlgorithm"]
+__all__ = [
+    "DemuxError",
+    "DuplicateConnectionError",
+    "LookupResult",
+    "DemuxAlgorithm",
+    "ObserverFanout",
+]
 
 
 class DemuxError(Exception):
@@ -85,13 +83,54 @@ class LookupResult:
         return self.pcb is not None
 
 
+class ObserverFanout:
+    """Several observers in one slot, built and unwound by
+    :meth:`DemuxAlgorithm.attach` / :meth:`~DemuxAlgorithm.detach`.
+
+    Lookups nest in attach order, the first observer outermost (so a
+    profiler attached last times the structure alone); notifications
+    reach every observer in attach order.
+    """
+
+    __slots__ = ("observers", "_outer", "_inner", "_primitive", "_chain")
+
+    def __init__(self, observers: Sequence[object]) -> None:
+        self.observers = tuple(observers)
+        self._outer = self.observers[0].on_lookup
+        self._inner = tuple(o.on_lookup for o in self.observers[:0:-1])
+        self._primitive = self._chain = None
+
+    def on_lookup(self, algorithm, lookup, tup, kind):
+        if lookup != self._primitive:
+            # Wrap the primitive innermost first.  A structure passes
+            # the same bound ``_lookup`` on every call, so the chain is
+            # built once and reused.
+            chain = lookup
+            for on_lookup in self._inner:
+                chain = partial(on_lookup, algorithm, chain)
+            self._primitive, self._chain = lookup, chain
+        return self._outer(algorithm, self._chain, tup, kind)
+
+    def on_insert(self, algorithm, pcb) -> None:
+        for observer in self.observers:
+            observer.on_insert(algorithm, pcb)
+
+    def on_remove(self, algorithm, tup) -> None:
+        for observer in self.observers:
+            observer.on_remove(algorithm, tup)
+
+    def on_send(self, algorithm, pcb) -> None:
+        for observer in self.observers:
+            observer.on_send(algorithm, pcb)
+
+
 class DemuxAlgorithm(abc.ABC):
     """Abstract PCB container with cost-accounted lookup.
 
     Subclasses implement ``_lookup``, ``_insert``, ``_remove``,
     iteration, and ``__len__`` (plus ``_note_send`` if the structure
     reacts to outbound packets); the public template methods wrap the
-    primitives with statistics recording and observability hooks.
+    primitives with statistics recording and the observer hook.
     """
 
     #: Short machine-readable name (registry key, figure legend).
@@ -106,20 +145,51 @@ class DemuxAlgorithm(abc.ABC):
 
     def __init__(self) -> None:
         self.stats = DemuxStats()
-        #: Optional :class:`repro.obs.Tracer` receiving per-operation
-        #: events.  ``None`` (the default) keeps the hot path bare.
-        self.tracer: Optional["Tracer"] = None
-        # Set/cleared by LookupProfiler.attach()/detach().
-        self._profiler: Optional["LookupProfiler"] = None
-        #: Optional :class:`repro.lifecycle.ConnectionReaper` observing
-        #: inserts, removes, and activity.  Installed by the reaper's
-        #: constructor; ``None`` keeps the hot path bare.
-        self.lifecycle = None
-        #: Optional :class:`repro.obs.SpanCollector` building causal
-        #: per-packet spans.  Installed by ``SpanCollector.attach()``
-        #: (or by the stack/SMP layers); ``None`` keeps the hot path
-        #: bare -- one ``is None`` check, like every other hook.
-        self.spans = None
+        #: The observer hook (see the module docstring): ``None``, one
+        #: observer, or an :class:`ObserverFanout`.  Fill and empty it
+        #: with :meth:`attach` / :meth:`detach`.
+        self.observer: Optional[object] = None
+
+    # -- observers -------------------------------------------------------
+
+    def observers(self) -> Tuple[object, ...]:
+        """The attached observers, in attach order."""
+        observer = self.observer
+        if observer is None:
+            return ()
+        if isinstance(observer, ObserverFanout):
+            return observer.observers
+        return (observer,)
+
+    def attach(self, observer):
+        """Add ``observer`` to the slot; returns it.
+
+        Observers of different classes compose.  A second observer of
+        a class already attached raises ``ValueError``: two reapers or
+        two span collectors on one structure would contradict each
+        other, and silently replacing the first would orphan it.
+        """
+        attached = self.observers()
+        for other in attached:
+            if type(other) is type(observer):
+                raise ValueError(
+                    f"{self!r} already has a {type(other).__name__} attached"
+                )
+        self._fill(attached + (observer,))
+        return observer
+
+    def detach(self, observer) -> None:
+        """Remove ``observer``; ``ValueError`` if it is not attached."""
+        attached = self.observers()
+        if not any(other is observer for other in attached):
+            raise ValueError(f"{observer!r} is not attached to {self!r}")
+        self._fill(tuple(other for other in attached if other is not observer))
+
+    def _fill(self, observers: Tuple[object, ...]) -> None:
+        if len(observers) > 1:
+            self.observer = ObserverFanout(observers)
+        else:
+            self.observer = observers[0] if observers else None
 
     # -- public API ------------------------------------------------------
 
@@ -133,12 +203,12 @@ class DemuxAlgorithm(abc.ABC):
         cache slots in kind-dependent order (paper Section 3.3.3) and
         all algorithms keep kind-separated statistics.
         """
-        profiler = self._profiler
-        if profiler is None:
+        observer = self.observer
+        if observer is None:
             result = self._lookup(tup, kind)
         else:
-            result = profiler.call(self._lookup, tup, kind)
-        self._finish_lookup(tup, result)
+            result = observer.on_lookup(self, self._lookup, tup, kind)
+        self._record(result)
         return result
 
     def lookup_batch(
@@ -150,7 +220,7 @@ class DemuxAlgorithm(abc.ABC):
         (:class:`repro.smp.coalesce.BatchCoalescer`, the sharded
         facade, the bench-gate replays).  Semantics are pinned to a
         plain loop over :meth:`lookup` -- same results, same statistics,
-        same hook behaviour -- and that loop *is* the default
+        same observer behaviour -- and that loop *is* the default
         implementation.  Interned structures override it
         (:class:`repro.core.batch.BatchLookupMixin`) to amortize
         the per-call template toll without changing one decision.
@@ -165,11 +235,9 @@ class DemuxAlgorithm(abc.ABC):
         holds the PCB.
         """
         self._note_send(pcb)
-        if self.lifecycle is not None:
-            self.lifecycle.note_touch(pcb.four_tuple)
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.emit_note_send(self.name, pcb.four_tuple)
+        observer = self.observer
+        if observer is not None:
+            observer.on_send(self, pcb)
 
     def insert(self, pcb: PCB) -> None:
         """Add a PCB (connection establishment).
@@ -178,11 +246,9 @@ class DemuxAlgorithm(abc.ABC):
         already present.
         """
         self._insert(pcb)
-        if self.lifecycle is not None:
-            self.lifecycle.note_insert(pcb)
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.emit_insert(self.name, pcb.four_tuple)
+        observer = self.observer
+        if observer is not None:
+            observer.on_insert(self, pcb)
 
     def remove(self, tup: FourTuple) -> PCB:
         """Remove and return the PCB for ``tup`` (connection teardown).
@@ -192,11 +258,9 @@ class DemuxAlgorithm(abc.ABC):
         resurrect closed connections.
         """
         pcb = self._remove(tup)
-        if self.lifecycle is not None:
-            self.lifecycle.note_remove(tup)
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.emit_remove(self.name, tup)
+        observer = self.observer
+        if observer is not None:
+            observer.on_remove(self, tup)
         return pcb
 
     # -- subclass primitives ---------------------------------------------
@@ -216,26 +280,11 @@ class DemuxAlgorithm(abc.ABC):
     def _lookup(self, tup: FourTuple, kind: PacketKind) -> LookupResult:
         """Subclass lookup; must fill ``examined`` per the convention."""
 
-    def _finish_lookup(
-        self, tup: Optional[FourTuple], result: LookupResult
-    ) -> None:
-        """Record statistics and trace one completed lookup.
-
-        Shared by :meth:`lookup` and alternative cost-accounted entry
-        points (e.g. ``ConnectionIdDemux.lookup_by_id``, where ``tup``
-        is unknown and passed as ``None``).
-        """
+    def _record(self, result: LookupResult) -> None:
+        """Count one completed lookup into the statistics."""
         self.stats.by_kind[result.kind].add(
             result.examined, result.cache_hit, result.pcb is not None
         )
-        if self.lifecycle is not None and tup is not None and result.found:
-            self.lifecycle.note_touch(tup)
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.emit_lookup(self.name, tup, result)
-        spans = self.spans
-        if spans is not None:
-            spans.note_lookup(self.name, tup, result)
 
     @abc.abstractmethod
     def __len__(self) -> int:

@@ -1,19 +1,19 @@
 """Amortized batched lookups.
 
-Every public ``lookup`` pays the template-method toll: the profiler,
-lifecycle, tracer and span hook checks, then the statistics update.
-Those costs are per *call*, not per packet, so a NIC-style coalesced
-batch can amortize them: :class:`BatchLookupMixin` overrides the
+Every public ``lookup`` pays the template-method toll: the observer
+check, then the statistics update.  Those costs are per *call*, not
+per packet, so a NIC-style coalesced batch can amortize them:
+:class:`BatchLookupMixin` overrides the
 :meth:`~repro.core.base.DemuxAlgorithm.lookup_batch` entry point (whose
 base implementation simply loops ``lookup``) with a tight loop that
-checks the hooks once per batch and counts each result straight into
-:meth:`~repro.core.stats.KindStats.add` -- the same counts, in the same
-order, into the same histogram as the per-call path.
+checks the observer slot once per batch and counts each result straight
+into :meth:`~repro.core.stats.KindStats.add` -- the same counts, in the
+same order, into the same histogram as the per-call path.
 
-When a tracer, profiler, or lifecycle reaper is attached the mixin
-falls back to the per-call path, because those hooks are defined per
-lookup; batching never changes what observability (or reaping)
-observes, only how fast the bare hot path runs.
+When an observer is attached the mixin falls back to the per-call
+path, because observers are defined per lookup; batching never changes
+what an observer (or a reaper) sees, only how fast the bare hot path
+runs.
 """
 
 from __future__ import annotations
@@ -53,21 +53,14 @@ class BatchLookupMixin:
 
     Mixed in *before* :class:`~repro.core.base.DemuxAlgorithm`; relies
     only on the template-method contract (``_lookup`` + ``stats`` +
-    optional ``tracer``/``_profiler``) plus the structure's
-    ``fastpath_counters``.
+    ``observer``) plus the structure's ``fastpath_counters``.
     """
 
     def lookup_batch(
         self, packets: Sequence[Packet]
     ) -> List[LookupResult]:
-        tracer = self.tracer
-        if (
-            self._profiler is not None
-            or self.lifecycle is not None
-            or self.spans is not None
-            or (tracer is not None and tracer.enabled)
-        ):
-            # Hooks are per-lookup by contract; take the exact path.
+        if self.observer is not None:
+            # Observers are per-lookup by contract; take the exact path.
             return [self.lookup(tup, kind) for tup, kind in packets]
         # A structure may resolve the whole batch at once (cache-first
         # or vectorized scans); it returns None to take the tight loop.

@@ -82,7 +82,10 @@ class ConnectionIdDemux(DemuxAlgorithm):
         else:
             pcb = None
         result = LookupResult(pcb, examined=1, cache_hit=pcb is not None, kind=kind)
-        self._finish_lookup(pcb.four_tuple if pcb is not None else None, result)
+        if self.observer is not None:  # they wrap the finished lookup
+            tup = pcb.four_tuple if pcb is not None else None
+            self.observer.on_lookup(self, lambda *_: result, tup, kind)
+        self._record(result)
         return result
 
     def _lookup(self, tup: FourTuple, kind: PacketKind) -> LookupResult:

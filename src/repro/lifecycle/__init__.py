@@ -3,8 +3,8 @@
 The fast path (PR 4) made lookups cheap; this package makes long-
 running operation *memory-bounded* by evicting dead connections --
 idle-timeout and TIME-WAIT reaping over a virtual-time hierarchical
-timer wheel, attached to any demux structure through the
-``DemuxAlgorithm.lifecycle`` hooks.  See docs/lifecycle.md.
+timer wheel, attached to any demux structure's observer slot
+(``DemuxAlgorithm.attach``).  See docs/lifecycle.md.
 """
 
 from .metrics import count_interned, publish_lifecycle

@@ -3,11 +3,10 @@
 A long-running demultiplexer is memory-bounded only if dead
 connections *leave*: idle PCBs whose peers silently vanished, and
 TIME-WAIT PCBs whose 2*MSL quarantine has elapsed.
-:class:`ConnectionReaper` attaches to any
-:class:`~repro.core.base.DemuxAlgorithm` through the base class's
-lifecycle hooks (``algorithm.lifecycle``), watches every insert,
-remove, found-lookup, and send, and evicts expired connections in
-O(expired) work per tick.
+:class:`ConnectionReaper` is a demux observer: it attaches to any
+:class:`~repro.core.base.DemuxAlgorithm`'s observer slot, watches
+every insert, remove, found-lookup, and send, and evicts expired
+connections in O(expired) work per tick.
 
 Design -- *lazy deadlines* over a hierarchical
 :class:`~repro.lifecycle.wheel.TimerWheel`:
@@ -84,8 +83,9 @@ class ConnectionReaper:
     Parameters
     ----------
     algorithm:
-        The structure to manage.  The reaper installs itself as
-        ``algorithm.lifecycle`` (detach with :meth:`detach`).
+        The structure to manage.  The reaper attaches itself to the
+        structure's observer slot (detach with :meth:`detach`); a
+        structure accepts one reaper, so a second raises ``ValueError``.
     idle_timeout:
         Seconds of inactivity after which a connection is reaped, or
         ``None`` to reap only TIME-WAIT connections.
@@ -141,10 +141,10 @@ class ConnectionReaper:
         self._pcbs: Dict[FourTuple, PCB] = {}
         self._last_touch: Dict[FourTuple, float] = {}
         self._now = wheel.now if clock is None else clock()
-        # Adopt connections inserted before attachment, then hook in.
+        algorithm.attach(self)
+        # Adopt connections inserted before attachment.
         for pcb in list(algorithm):
-            self.note_insert(pcb)
-        algorithm.lifecycle = self
+            self.on_insert(algorithm, pcb)
 
     # -- introspection -----------------------------------------------------
 
@@ -171,12 +171,20 @@ class ConnectionReaper:
 
     def detach(self) -> None:
         """Stop observing the algorithm (timers stay until re-attach)."""
-        if self.algorithm.lifecycle is self:
-            self.algorithm.lifecycle = None
+        self.algorithm.detach(self)
 
-    # -- lifecycle hooks (called by DemuxAlgorithm template methods) -------
+    # -- the demux observer protocol ---------------------------------------
 
-    def note_insert(self, pcb: PCB) -> None:
+    def on_lookup(self, algorithm, lookup, tup, kind):
+        result = lookup(tup, kind)
+        if result.pcb is not None:
+            self._touch(tup)
+        return result
+
+    def on_send(self, algorithm, pcb: PCB) -> None:
+        self._touch(pcb.four_tuple)
+
+    def on_insert(self, algorithm, pcb: PCB) -> None:
         tup = pcb.four_tuple
         now = self.now
         self._pcbs[tup] = pcb
@@ -186,13 +194,13 @@ class ConnectionReaper:
             self.wheel.schedule(tup, now + timeout)
             self.stats.timers_scheduled += 1
 
-    def note_remove(self, tup: FourTuple) -> None:
+    def on_remove(self, algorithm, tup: FourTuple) -> None:
         self._pcbs.pop(tup, None)
         self._last_touch.pop(tup, None)
         if self.wheel.cancel(tup):
             self.stats.timers_cancelled += 1
 
-    def note_touch(self, tup: FourTuple) -> None:
+    def _touch(self, tup: FourTuple) -> None:
         """O(1) activity mark; the wheel is *not* rearranged."""
         if tup in self._last_touch:
             self._last_touch[tup] = self.now
@@ -263,8 +271,8 @@ class ConnectionReaper:
                 return  # the callback tore the connection down
         # Direct eviction (no callback, or the callback declined):
         # removal flows through the public template method, firing
-        # note_remove and the fast path's intern eviction.
+        # on_remove and the fast path's intern eviction.
         try:
             self.algorithm.remove(tup)
         except KeyError:
-            self.note_remove(tup)  # already gone; drop our bookkeeping
+            self.on_remove(self.algorithm, tup)  # already gone

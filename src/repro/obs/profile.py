@@ -9,11 +9,11 @@ small overhead budget (<5% at the default sampling rate on realistic
 table sizes; ``benchmarks/bench_obs_overhead.py`` asserts this and
 records the measurement in ``BENCH_obs.json``).
 
-A :class:`LookupProfiler` attaches to a ``DemuxAlgorithm``; the base
-class routes ``_lookup`` calls through :meth:`LookupProfiler.call`,
-which times every ``sample_every``-th call and passes the rest straight
-through.  Profiling never changes results, statistics, or RNG state --
-it only reads the clock.
+A :class:`LookupProfiler` is a demux observer: attached to a
+``DemuxAlgorithm``'s observer slot, its ``on_lookup`` wraps each
+lookup, times every ``sample_every``-th call and passes the rest
+straight through.  Profiling never changes results, statistics, or RNG
+state -- it only reads the clock.
 
 :class:`MemoryProbe` is the matching space probe: a ``tracemalloc``
 context manager measuring the Python-heap footprint of whatever is
@@ -99,34 +99,33 @@ class LookupProfiler:
 
     def attach(self, algorithm) -> "LookupProfiler":
         """Route ``algorithm``'s lookups through this profiler."""
-        if getattr(algorithm, "_profiler", None) is not None:
-            raise ValueError(
-                f"{algorithm!r} already has a profiler attached"
-            )
-        algorithm._profiler = self
+        algorithm.attach(self)
         return self
 
     def detach(self, algorithm) -> None:
         """Stop profiling ``algorithm`` (restores the bare hot path)."""
-        if getattr(algorithm, "_profiler", None) is not self:
-            raise ValueError(f"this profiler is not attached to {algorithm!r}")
-        algorithm._profiler = None
+        algorithm.detach(self)
 
-    # -- the hot path ----------------------------------------------------
+    # -- the demux observer protocol -------------------------------------
 
-    def call(self, fn: Callable, tup, kind):
-        """Invoke ``fn(tup, kind)``, timing every Nth invocation."""
+    def on_lookup(self, algorithm, lookup, tup, kind):
+        """Call ``lookup(tup, kind)``, timing every Nth invocation."""
         self._count += 1
         if self._count % self.sample_every:
-            return fn(tup, kind)
+            return lookup(tup, kind)
         start = time.perf_counter_ns()
-        result = fn(tup, kind)
+        result = lookup(tup, kind)
         elapsed = time.perf_counter_ns() - start
         if len(self._durations) < self.max_samples:
             self._durations.append(elapsed)
         else:
             self.overflowed += 1
         return result
+
+    def on_insert(self, algorithm, pcb) -> None:
+        """The profiler times lookups only."""
+
+    on_remove = on_send = on_insert
 
     # -- reporting -------------------------------------------------------
 

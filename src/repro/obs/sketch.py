@@ -297,7 +297,9 @@ class TrainDetector:
         self.followers = 0
         self.train_ness = 0.0
 
-    def offer(self, key: Any) -> None:
+    def offer(self, key: Any, kind: Any = None) -> None:
+        """Feed one packet (``kind`` is ignored: the signature lets the
+        detector be a span collector's packet observer directly)."""
         follower = key == self._last
         self._last = key
         self.packets += 1
@@ -437,12 +439,9 @@ class TrafficCharacterizer:
     # -- feeding -------------------------------------------------------
 
     def attach(self, collector: object) -> "TrafficCharacterizer":
-        collector.add_packet_observer(self.note_packet)
+        collector.add_packet_observer(self.trains.offer)
         collector.add_span_observer(self.on_span)
         return self
-
-    def note_packet(self, key: Any, kind: Any) -> None:
-        self.trains.offer(key)
 
     def on_span(self, span: object) -> None:
         lookup = span.find_stage("lookup")

@@ -17,12 +17,11 @@ connection.
 
 Design constraints, in priority order:
 
-1. **Untraced runs pay one ``is None`` check per hook** -- exactly the
-   contract the tracer and profiler already honour.  The collector is
-   attached via ``algorithm.spans`` (a template-method hook on
-   :class:`repro.core.base.DemuxAlgorithm`) and via constructor
-   parameters on the stack / SMP layers; when absent, nothing else
-   runs.
+1. **Untraced runs pay one ``is None`` check per hook** -- the
+   contract every demux observer honours.  The collector attaches to
+   a :class:`repro.core.base.DemuxAlgorithm`'s observer slot, like
+   the tracer and profiler, and is passed as a constructor parameter
+   to the stack / coalescer layers; when absent, nothing else runs.
 2. **Sampling bounds the cost.**  Every packet increments one counter;
    only every ``sample_every``-th packet materialises a span object.
    Per-packet observers (the train-ness detector needs adjacency, which
@@ -215,12 +214,14 @@ class FlightRecorder:
 class SpanCollector:
     """Builds :class:`PacketSpan` records from the layers' hooks.
 
-    Attach with :meth:`attach` (sets ``algorithm.spans``) or pass as
-    the ``spans=`` parameter of :class:`repro.tcpstack.stack.HostStack`
-    / :class:`repro.smp.coalesce.BatchCoalescer`; those layers call
-    :meth:`open_packet` / :meth:`stage` / :meth:`close_packet`, and
-    :meth:`repro.core.base.DemuxAlgorithm._finish_lookup` calls
-    :meth:`note_lookup`.
+    A demux observer: :meth:`attach` puts it in a structure's observer
+    slot, where :meth:`on_lookup` records each lookup, the sharded
+    facade's steering calls :meth:`on_steer`, and the recovery
+    supervisor calls :meth:`on_recovery`.  Pass it as the ``spans=``
+    parameter of :class:`repro.tcpstack.stack.HostStack` (which
+    attaches it) or :class:`repro.smp.coalesce.BatchCoalescer`; those
+    layers call :meth:`open_packet` / :meth:`stage` /
+    :meth:`close_packet` around the lookups.
     """
 
     def __init__(
@@ -258,7 +259,7 @@ class SpanCollector:
 
     def attach(self, algorithm: object) -> "SpanCollector":
         """Hook this collector onto a demux algorithm; returns self."""
-        algorithm.spans = self  # type: ignore[attr-defined]
+        algorithm.attach(self)  # type: ignore[attr-defined]
         return self
 
     def add_span_observer(
@@ -339,25 +340,31 @@ class SpanCollector:
             observer(span)
         return span
 
-    # -- layer hooks ---------------------------------------------------
+    # -- the demux observer protocol -----------------------------------
 
-    def note_lookup(self, algorithm: str, four_tuple: object,
-                    result: object) -> None:
-        """Record a demux lookup; the hook ``_finish_lookup`` calls.
+    def on_lookup(self, algorithm, lookup, tup, kind):
+        """Record one demux lookup as a ``lookup`` stage.
 
         Standalone (no outer layer opened a context -- demux-level
-        workloads) this opens and closes a demux-owned context, so the
-        sampling counter still advances once per packet.
+        workloads) the lookup is the whole packet: the sampling counter
+        still advances once per packet, and an unsampled one only feeds
+        the per-packet observers, without opening a context.
         """
+        result = lookup(tup, kind)
         if not self._open:
-            if four_tuple is None:
-                return  # lookup_by_id misses carry no tuple to record
-            self.open_packet(four_tuple, result.kind, owner="demux")
+            if tup is None:
+                return result  # lookup_by_id misses carry no tuple
+            if self.packets_seen % self.sample_every:
+                self.packets_seen += 1
+                for observer in self._packet_observers:
+                    observer(tup, kind)
+                return result
+            self.open_packet(tup, kind, owner="demux")
         span = self._current
         if span is not None:
             found = result.found
             span.stages.append(SpanStage("lookup", self.now(), {
-                "algorithm": algorithm,
+                "algorithm": algorithm.name,
                 "examined": result.examined,
                 "cache_hit": result.cache_hit,
                 "found": found,
@@ -365,51 +372,44 @@ class SpanCollector:
             if span.outcome == "open":
                 span.outcome = "found" if found else "miss"
         self.close_packet("demux")
+        return result
+
+    def on_insert(self, algorithm, pcb) -> None:
+        """Spans follow packets; structural changes are not recorded."""
+
+    on_remove = on_send = on_insert
+
+    def on_steer(self, algorithm, tup, kind, shard, migrated) -> None:
+        """Open (or join) the packet context with its steering stage."""
+        self.open_packet(tup, kind, owner="demux")
+        self.stage("steer", policy=algorithm.steering.name, shard=shard,
+                   migrated=migrated)
+
+    # -- layer hooks ---------------------------------------------------
 
     def note_reap(self, four_tuple: object, reason: str) -> PacketSpan:
-        """Record a lifecycle eviction as a standalone, unsampled span.
-
-        Reaps are rare and diagnostic gold, so every one is recorded.
-        """
-        now = self.now()
-        span = PacketSpan(
-            span_id=next(self._next_id),
-            four_tuple=four_tuple,
-            kind="",
-            start=now,
-        )
-        span.stages.append(SpanStage("reap", now, {"reason": reason}))
-        span.outcome = "reaped"
-        span.end = now
-        self.spans_started += 1
-        self.spans_finished += 1
+        """Record a lifecycle eviction as a standalone span."""
         self.reaps_recorded += 1
-        self.recorder.record(span)
-        for observer in self._span_observers:
-            observer(span)
-        return span
+        return self._standalone(four_tuple, "reap", "reaped", reason=reason)
 
-    def note_recovery(
+    def on_recovery(
         self, shard: int, mode: str, **data: object
     ) -> PacketSpan:
-        """Record a shard recovery as a standalone, unsampled span.
+        """Record a shard recovery (which shard, which ladder rung --
+        warm/resteer/cold -- MTTR, packets dropped) as a standalone
+        span."""
+        return self._standalone(
+            None, "recover", "recovered", shard=shard, mode=mode, **data
+        )
 
-        Like reaps, recoveries are rare and diagnostic gold (which
-        shard, which ladder rung -- warm/resteer/cold -- MTTR, packets
-        dropped), so every one is recorded regardless of sampling.
-        """
+    def _standalone(self, four_tuple: object, stage: str, outcome: str,
+                    **data: object) -> PacketSpan:
+        # Reaps and recoveries are rare and diagnostic gold, so every
+        # one is recorded, whatever the sampling rate.
         now = self.now()
-        span = PacketSpan(
-            span_id=next(self._next_id),
-            four_tuple=None,
-            kind="",
-            start=now,
-        )
-        span.stages.append(
-            SpanStage("recover", now, {"shard": shard, "mode": mode, **data})
-        )
-        span.outcome = "recovered"
-        span.end = now
+        span = PacketSpan(next(self._next_id), four_tuple, "", now)
+        span.stages.append(SpanStage(stage, now, data))
+        span.outcome = outcome
         self.spans_started += 1
         self.spans_finished += 1
         self.recorder.record(span)

@@ -9,12 +9,14 @@ disk, or a :class:`CallbackSink` for ad-hoc wiring.  With the JSONL
 sink attached, any figure run can be replayed or diffed lookup by
 lookup (``read_jsonl`` loads a trace back as dictionaries).
 
-Overhead contract: a structure with no tracer attached pays one
-``is None`` check per operation; a disabled tracer pays one extra
-attribute load.  Event construction happens only when a tracer is
-attached *and* enabled.  This module deliberately imports nothing from
-the rest of :mod:`repro`, so it sits at the bottom of the layer stack
-(``core`` depends on ``obs``, never the reverse).
+A tracer is a demux observer: ``algorithm.attach(tracer)`` puts it in
+the structure's one observer slot, and its ``on_lookup`` /
+``on_insert`` / ``on_remove`` / ``on_send`` methods emit the events.
+Overhead contract: a structure with no observer attached pays one
+``is None`` check per operation; detaching the tracer is the off
+switch.  This module deliberately imports nothing from the rest of
+:mod:`repro`, so it sits at the bottom of the layer stack (``core``
+depends on ``obs``, never the reverse).
 
 Virtual time: the tracer stamps events via its ``clock`` -- any
 zero-argument callable returning seconds.  Workloads bind it to their
@@ -217,19 +219,16 @@ class Tracer:
     """Fans trace events out to attached sinks.
 
     ``clock`` is any zero-argument callable returning the current time
-    in seconds; unbound tracers stamp 0.0.  ``enabled`` is the master
-    switch hot paths check before constructing events.
+    in seconds; unbound tracers stamp 0.0.
     """
 
     def __init__(
         self,
         *sinks: TraceSink,
         clock: Optional[Callable[[], float]] = None,
-        enabled: bool = True,
     ):
         self._sinks: List[TraceSink] = list(sinks)
         self.clock = clock
-        self.enabled = enabled
 
     # -- sink management -------------------------------------------------
 
@@ -267,49 +266,30 @@ class Tracer:
         return clock() if clock is not None else 0.0
 
     def emit(self, event: TraceEvent) -> None:
-        if not self.enabled:
-            return
         for sink in self._sinks:
             sink.emit(event)
 
-    def emit_lookup(self, algorithm: str, four_tuple, result) -> None:
-        """Trace one cost-accounted lookup (``result`` is a LookupResult)."""
-        self.emit(
-            TraceEvent(
-                time=self.now(),
-                kind="lookup",
-                algorithm=algorithm,
-                four_tuple=four_tuple,
-                packet_kind=result.kind.value,
-                examined=result.examined,
-                cache_hit=result.cache_hit,
-                found=result.found,
-            )
-        )
+    # -- the demux observer protocol -------------------------------------
 
-    def emit_insert(self, algorithm: str, four_tuple) -> None:
-        self.emit(
-            TraceEvent(
-                time=self.now(), kind="insert",
-                algorithm=algorithm, four_tuple=four_tuple,
-            )
-        )
+    def on_lookup(self, algorithm, lookup, tup, kind):
+        result = lookup(tup, kind)
+        self.emit(TraceEvent(
+            self.now(), "lookup", algorithm.name, tup, result.kind.value,
+            result.examined, result.cache_hit, result.found,
+        ))
+        return result
 
-    def emit_remove(self, algorithm: str, four_tuple) -> None:
-        self.emit(
-            TraceEvent(
-                time=self.now(), kind="remove",
-                algorithm=algorithm, four_tuple=four_tuple,
-            )
-        )
+    def on_insert(self, algorithm, pcb) -> None:
+        self._structural("insert", algorithm, pcb.four_tuple)
 
-    def emit_note_send(self, algorithm: str, four_tuple) -> None:
-        self.emit(
-            TraceEvent(
-                time=self.now(), kind="note_send",
-                algorithm=algorithm, four_tuple=four_tuple,
-            )
-        )
+    def on_remove(self, algorithm, tup) -> None:
+        self._structural("remove", algorithm, tup)
+
+    def on_send(self, algorithm, pcb) -> None:
+        self._structural("note_send", algorithm, pcb.four_tuple)
+
+    def _structural(self, kind: str, algorithm, four_tuple) -> None:
+        self.emit(TraceEvent(self.now(), kind, algorithm.name, four_tuple))
 
     # -- simulator integration -------------------------------------------
 
@@ -319,19 +299,16 @@ class Tracer:
         Installs a dispatch probe (see ``Simulator.probe``) that emits
         a ``sim.event`` record, carrying the callback's name, for every
         event the simulator runs.  Also wraps ``sim.run`` so sinks are
-        *closed* when a run drains the event heap (the sim completed)
-        and *flushed* otherwise -- a crashed or paused run still leaves
-        a readable trace, and a finished one needs no manual close.
+        flushed when a run returns or raises -- a crashed or paused run
+        still leaves a readable trace.  Closing stays with the caller,
+        who may still emit after the run (the health verdict does).
         """
         if self.clock is None:
             self.clock = lambda: sim.now
 
         def probe(event) -> None:
-            if self.enabled:
-                name = getattr(event.callback, "__name__", repr(event.callback))
-                self.emit(
-                    TraceEvent(time=event.time, kind="sim.event", detail=name)
-                )
+            name = getattr(event.callback, "__name__", repr(event.callback))
+            self.emit(TraceEvent(time=event.time, kind="sim.event", detail=name))
 
         sim.probe = probe
 
@@ -341,18 +318,9 @@ class Tracer:
 
         def traced_run(*args, **kwargs):
             try:
-                result = original_run(*args, **kwargs)
-            except BaseException:
+                return original_run(*args, **kwargs)
+            finally:
                 self.flush()
-                raise
-            # Periodic events (lifecycle reaping, live publishing) keep
-            # the heap non-empty forever; only a drained heap means the
-            # simulation is truly over and the sinks can be closed.
-            if sim.pending == 0:
-                self.close()
-            else:
-                self.flush()
-            return result
 
         sim.run = traced_run
         sim._tracer_wrapped_run = self

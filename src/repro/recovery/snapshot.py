@@ -270,12 +270,14 @@ def _capture_extra(algorithm: DemuxAlgorithm) -> Dict[str, Any]:
 
 
 def _capture_lifecycle(algorithm: DemuxAlgorithm) -> Optional[Dict[str, Any]]:
-    reaper = algorithm.lifecycle
-    if reaper is None:
-        return None
     from ..lifecycle.reaper import ConnectionReaper
 
-    if not isinstance(reaper, ConnectionReaper):
+    reaper = next(
+        (observer for observer in algorithm.observers()
+         if isinstance(observer, ConnectionReaper)),
+        None,
+    )
+    if reaper is None:
         return None
     entries = []
     for tup, last_touch in reaper._last_touch.items():

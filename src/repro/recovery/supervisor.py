@@ -143,11 +143,8 @@ class ShardSupervisor(DemuxAlgorithm):
             )
         if detect_after < 0:
             raise ValueError(f"detect_after must be >= 0, got {detect_after}")
-        # Before super().__init__(): the base constructor assigns
-        # ``self.spans = None``, which runs this class's forwarding
-        # setter, which needs ``_sharded``.
-        self._sharded = sharded
         super().__init__()
+        self._sharded = sharded
         self.name = f"supervised-{sharded.name}"
         self.checkpoint_every = checkpoint_every
         self.detect_after = detect_after
@@ -183,19 +180,22 @@ class ShardSupervisor(DemuxAlgorithm):
         self.checkpoints_taken = 0
         self.checkpoint_corruptions_detected = 0
 
-    # -- hook forwarding ---------------------------------------------------
+    # -- observers ---------------------------------------------------------
 
-    @property
-    def spans(self):
-        """Always ``None`` at this layer: the span collector is
-        forwarded to the wrapped facade, whose ``_finish_lookup``
-        records each packet exactly once.  (Recovery events are
-        emitted as standalone spans via ``note_recovery``.)"""
-        return None
+    def attach(self, observer):
+        """An observer that records steering (``on_steer``: the span
+        collector) attaches to the supervised facade, where packets are
+        steered, and also gets :meth:`recover`'s ``on_recovery`` notes;
+        any other observer attaches here and sees drops too."""
+        if hasattr(observer, "on_steer"):
+            return self._sharded.attach(observer)
+        return super().attach(observer)
 
-    @spans.setter
-    def spans(self, collector) -> None:
-        self._sharded.spans = collector
+    def detach(self, observer) -> None:
+        if hasattr(observer, "on_steer"):
+            self._sharded.detach(observer)
+        else:
+            super().detach(observer)
 
     @property
     def sharded(self) -> ShardedDemux:
@@ -417,16 +417,13 @@ class ShardSupervisor(DemuxAlgorithm):
             checkpoint_corrupt=checkpoint_corrupt,
         )
         self.events.append(event)
-        spans = self._sharded.spans
-        if spans is not None:
-            spans.note_recovery(
-                index,
-                mode,
-                mttr_ms=mttr_ms,
-                dropped_packets=dropped,
-                replayed_ops=replayed,
-                restored_pcbs=event.restored_pcbs,
-            )
+        for observer in self._sharded.observers():
+            on_recovery = getattr(observer, "on_recovery", None)
+            if on_recovery is not None:
+                on_recovery(
+                    index, mode, mttr_ms=mttr_ms, dropped_packets=dropped,
+                    replayed_ops=replayed, restored_pcbs=event.restored_pcbs,
+                )
         return event
 
     def _orphans_to_survivors(self, index: int) -> DemuxAlgorithm:
@@ -520,18 +517,16 @@ class ShardSupervisor(DemuxAlgorithm):
     ) -> List[LookupResult]:
         """Batched path: delegate whole batches while all shards live.
 
-        With a dead shard (or hooks attached) the per-packet path runs
-        so detection, drops, and recovery interleave exactly as they
-        would packet by packet.
+        With a dead shard (or an observer attached) the per-packet path
+        runs so detection, drops, and recovery interleave exactly as
+        they would packet by packet.
         """
-        tracer = self.tracer
         if (
             self._dead
             or self._stalled
             or self._armed_crashes
             or self._armed_stalls
-            or self._profiler is not None
-            or (tracer is not None and tracer.enabled)
+            or self.observer is not None
         ):
             return [self.lookup(tup, kind) for tup, kind in packets]
         results = self._sharded.lookup_batch(packets)
@@ -539,7 +534,7 @@ class ShardSupervisor(DemuxAlgorithm):
         nshards = self._sharded.nshards
         for (tup, kind), result in zip(packets, results):
             self._delta[shard_of(tup, nshards)].append(("lookup", tup, kind))
-            self._finish_lookup(tup, result)
+            self._record(result)
         self._packets_seen += len(packets)
         self._tick_checkpoint(len(packets))
         return results

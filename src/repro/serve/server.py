@@ -9,8 +9,8 @@
    :class:`~repro.serve.session.SessionTable` (capacity rejects shed
    the connection before any demux state is touched);
 3. routes every ``DATA``/``ACK`` frame through ``algorithm.lookup``
-   under that four-tuple -- the same hot path, statistics, spans, and
-   lifecycle hooks every simulation exercises -- answers with an
+   under that four-tuple -- the same hot path, statistics and observer
+   slot every simulation exercises -- answers with an
    ``ACK`` echo, and feeds the recorder tap;
 4. removes the connection on EOF, error, or shutdown.
 

@@ -84,40 +84,33 @@ class BatchCoalescer:
         batch = self._buffer
         if not batch:
             return 0
-        self._buffer = []
+        arrivals = self._arrivals
+        self._buffer, self._arrivals = [], []
+        if self.sort and len(batch) > 1:
+            # A stable index sort: arrival stamps (kept only with spans)
+            # ride along with their packets.
+            order = sorted(
+                range(len(batch)), key=lambda i: batch[i][0].key_bits()
+            )
+            batch = [batch[i] for i in order]
+            arrivals = [arrivals[i] for i in order] if arrivals else arrivals
+        followers = []
+        previous = None
+        for tup, _ in batch:
+            followers.append(tup == previous)
+            previous = tup
+        self.train_followers += sum(followers)
         spans = self.spans
         if spans is None:
-            if self.sort and len(batch) > 1:
-                batch.sort(key=lambda packet: packet[0].key_bits())
-            previous = None
-            for tup, _ in batch:
-                if tup == previous:
-                    self.train_followers += 1
-                previous = tup
             # One batched call instead of a per-packet loop: the default
             # lookup_batch is exactly that loop, and fast/sharded
             # structures amortize it without changing any decision.
             self.algorithm.lookup_batch(batch)
         else:
-            arrivals = self._arrivals
-            self._arrivals = []
-            if self.sort and len(batch) > 1:
-                # Index sort: sorted() is stable with the same key as
-                # list.sort above, so delivery order is identical to
-                # the span-less path -- arrivals just ride along.
-                order = sorted(
-                    range(len(batch)),
-                    key=lambda i: batch[i][0].key_bits(),
-                )
-                batch = [batch[i] for i in order]
-                arrivals = [arrivals[i] for i in order]
             batch_id = self.batches_flushed
-            previous = None
-            for (tup, kind), arrived in zip(batch, arrivals):
-                follower = tup == previous
-                if follower:
-                    self.train_followers += 1
-                previous = tup
+            for (tup, kind), follower, arrived in zip(
+                batch, followers, arrivals
+            ):
                 spans.open_packet(tup, kind, owner="coalesce")
                 spans.stage(
                     "coalesce",

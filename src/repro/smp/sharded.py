@@ -150,9 +150,6 @@ class ShardedDemux(DemuxAlgorithm):
             self._shards[shard].note_send(pcb)
 
     def _lookup(self, tup: FourTuple, kind: PacketKind) -> LookupResult:
-        spans = self.spans
-        if spans is not None:
-            spans.open_packet(tup, kind, owner="demux")
         target = self.steering.shard_of(tup, self.nshards)
         home = self._home.get(tup)
         migrated = home is not None and home != target
@@ -165,13 +162,13 @@ class ShardedDemux(DemuxAlgorithm):
             self._home[tup] = target
             self.flow_migrations += 1
             self._migration_relookups[target] += 1
-        if spans is not None:
-            spans.stage(
-                "steer",
-                policy=self.steering.name,
-                shard=target,
-                migrated=migrated,
-            )
+        if self.observer is not None:
+            # Observers that record steering (the span collector's
+            # ``steer`` stage) implement the optional ``on_steer``.
+            for observer in self.observers():
+                on_steer = getattr(observer, "on_steer", None)
+                if on_steer is not None:
+                    on_steer(self, tup, kind, target, migrated)
         return self._shards[target].lookup(tup, kind)
 
     def lookup_batch(
@@ -188,16 +185,10 @@ class ShardedDemux(DemuxAlgorithm):
         by packet, so every decision -- and every shard's statistics --
         is identical to the sequential path.  Unstable steering
         (round-robin) migrates PCBs mid-batch, so it keeps the
-        per-packet path.  Hooks (tracer/profiler/spans) are per-lookup
-        by contract and also take the per-packet path.
+        per-packet path.  Observers are per-lookup by contract and also
+        take the per-packet path.
         """
-        tracer = self.tracer
-        if (
-            not self.steering.flow_stable
-            or self._profiler is not None
-            or self.spans is not None
-            or (tracer is not None and tracer.enabled)
-        ):
+        if not self.steering.flow_stable or self.observer is not None:
             return super().lookup_batch(packets)
         nshards = self.nshards
         shard_of = self.steering.shard_of
@@ -212,8 +203,8 @@ class ShardedDemux(DemuxAlgorithm):
             sub_results = self._shards[shard_index].lookup_batch(sub_batch)
             for position, result in zip(positions, sub_results):
                 results[position] = result
-        for (tup, _), result in zip(packets, results):
-            self._finish_lookup(tup, result)
+        for result in results:
+            self._record(result)
         return results
 
     def __len__(self) -> int:

@@ -86,11 +86,11 @@ class HostStack:
         #: Optional :class:`repro.obs.SpanCollector`: ``deliver`` opens
         #: one packet context per inbound segment, the demux lookup and
         #: drop taxonomy add stages inside it, and reaper evictions are
-        #: recorded as standalone ``reap`` spans.  Attaching here also
-        #: hooks the demux algorithm and binds the virtual clock.
+        #: recorded as standalone ``reap`` spans.  The stack attaches
+        #: it to the demux algorithm and binds the virtual clock.
         self.spans = spans
         if spans is not None:
-            algorithm.spans = spans
+            algorithm.attach(spans)
             if spans.clock is None:
                 spans.clock = lambda: self.sim.now
         self._mss = mss

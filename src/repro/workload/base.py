@@ -18,20 +18,18 @@ __all__ = ["WorkloadResult", "bind_tracer_clock"]
 
 
 def bind_tracer_clock(algorithm: DemuxAlgorithm, sim: Simulator) -> None:
-    """Stamp the algorithm's trace events with ``sim``'s virtual time.
+    """Stamp the algorithm's observer events with ``sim``'s virtual time.
 
     Simulation-driven workloads call this right after constructing
-    their :class:`Simulator`, so a tracer attached to the algorithm
-    *before* the workload is built gets virtual timestamps without any
-    caller plumbing.  An already-bound clock is left alone (the caller
-    may have bound something deliberately).
+    their :class:`Simulator`, so an observer with a ``clock`` (tracer,
+    span collector) attached to the algorithm *before* the workload is
+    built gets virtual timestamps without any caller plumbing.  An
+    already-bound clock is left alone (the caller may have bound
+    something deliberately).
     """
-    tracer = algorithm.tracer
-    if tracer is not None and tracer.clock is None:
-        tracer.clock = lambda: sim.now
-    spans = getattr(algorithm, "spans", None)
-    if spans is not None and spans.clock is None:
-        spans.clock = lambda: sim.now
+    for observer in algorithm.observers():
+        if getattr(observer, "clock", False) is None:
+            observer.clock = lambda: sim.now
 
 
 @dataclasses.dataclass(frozen=True)

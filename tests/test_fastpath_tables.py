@@ -163,7 +163,7 @@ class TestBatchMixin:
         demux = self.build()
         tracer = Tracer()
         sink = tracer.attach(RingBufferSink())
-        demux.tracer = tracer
+        demux.attach(tracer)
         packets = as_packets([make_tuple(i) for i in range(4)])
         results = demux.lookup_batch(packets)
         # The fallback path still produces results and stats...
@@ -173,12 +173,6 @@ class TestBatchMixin:
         assert len(sink.events) == 4
         # ...and never counts as an amortized batch.
         assert demux.fastpath_counters.batch_calls == 0
-
-    def test_disabled_tracer_keeps_fast_path(self):
-        demux = self.build()
-        demux.tracer = Tracer(enabled=False)
-        demux.lookup_batch(as_packets([make_tuple(0)]))
-        assert demux.fastpath_counters.batch_calls == 1
 
     def test_profiler_forces_per_call_path(self):
         demux = self.build()

@@ -35,9 +35,9 @@ class TestConstruction:
 
     def test_installs_itself_as_lifecycle(self):
         algorithm, reaper = make_reaper()
-        assert algorithm.lifecycle is reaper
+        assert algorithm.observer is reaper
         reaper.detach()
-        assert algorithm.lifecycle is None
+        assert algorithm.observer is None
 
     def test_adopts_preexisting_connections(self):
         algorithm = make_algorithm("fast-mtf")

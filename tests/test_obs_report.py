@@ -128,7 +128,7 @@ class TestRenderDashboard:
     def test_traffic_section_from_characterizer(self):
         characterizer = TrafficCharacterizer()
         for i in range(500):
-            characterizer.note_packet(i % 7, "data")
+            characterizer.trains.offer(i % 7)
             characterizer.observe(i % 7, (i % 9) + 1, now=i * 0.01)
         registry = MetricsRegistry()
         characterizer.publish(registry)

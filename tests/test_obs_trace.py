@@ -103,11 +103,16 @@ class TestJsonlSink:
 
 
 class TestTracer:
-    def test_disabled_tracer_emits_nothing(self):
+    def test_detached_tracer_emits_nothing(self):
+        # Detaching is the off switch: an empty slot emits nothing.
         sink = RingBufferSink(8)
-        tracer = Tracer(sink, enabled=False)
-        tracer.emit(TraceEvent(time=0.0, kind="lookup"))
-        assert len(sink) == 0
+        algorithm = BSDDemux()
+        tracer = algorithm.attach(Tracer(sink))
+        algorithm.lookup(make_tuple(0))
+        algorithm.detach(tracer)
+        algorithm.lookup(make_tuple(0))
+        assert len(sink) == 1
+        assert algorithm.observer is None
 
     def test_fan_out_to_multiple_sinks(self):
         seen = []
@@ -129,14 +134,15 @@ class TestTracer:
         ring = RingBufferSink(8)
         times = iter([3.25, 7.5])
         tracer = Tracer(ring, clock=lambda: next(times))
-        tracer.emit_insert("bsd", make_tuple(0))
-        tracer.emit_remove("bsd", make_tuple(0))
+        pcb, = make_pcbs(1)
+        tracer.on_insert(BSDDemux(), pcb)
+        tracer.on_remove(BSDDemux(), pcb.four_tuple)
         assert [e.time for e in ring.events] == [3.25, 7.5]
 
     def test_unbound_clock_stamps_zero(self):
         ring = RingBufferSink(8)
         tracer = Tracer(ring)
-        tracer.emit_note_send("bsd", make_tuple(0))
+        tracer.on_send(BSDDemux(), *make_pcbs(1))
         assert ring.events[0].time == 0.0
 
 
@@ -144,7 +150,7 @@ class TestAlgorithmIntegration:
     def test_full_lifecycle_is_traced(self):
         ring = RingBufferSink(64)
         algorithm = BSDDemux()
-        algorithm.tracer = Tracer(ring)
+        algorithm.attach(Tracer(ring))
         pcb, = make_pcbs(1)
         algorithm.insert(pcb)
         algorithm.lookup(pcb.four_tuple, PacketKind.DATA)
@@ -157,7 +163,7 @@ class TestAlgorithmIntegration:
     def test_traced_examined_matches_stats(self):
         ring = RingBufferSink(1024)
         algorithm = SequentDemux(7)
-        algorithm.tracer = Tracer(ring)
+        algorithm.attach(Tracer(ring))
         for pcb in make_pcbs(30):
             algorithm.insert(pcb)
         for i in range(30):
@@ -174,7 +180,7 @@ class TestAlgorithmIntegration:
     def test_lookup_events_carry_packet_kind(self):
         ring = RingBufferSink(8)
         algorithm = BSDDemux()
-        algorithm.tracer = Tracer(ring)
+        algorithm.attach(Tracer(ring))
         algorithm.lookup(make_tuple(0), PacketKind.ACK)
         assert ring.events[0].packet_kind == "ack"
         assert ring.events[0].found is False
@@ -245,7 +251,7 @@ class TestTracingDoesNotPerturb:
         ring = None
         if traced:
             ring = RingBufferSink(200_000)
-            algorithm.tracer = Tracer(ring)
+            algorithm.attach(Tracer(ring))
         config = TPCAConfig(n_users=80, duration=40.0, seed=11)
         simulation = TPCADemuxSimulation(config, algorithm)
         result = simulation.run()

@@ -179,8 +179,8 @@ class TestLifecycleRoundTrip:
         algorithm.lookup(tuples[1], PacketKind.ACK)
 
         restored = restore_bytes(snapshot_bytes(algorithm, "bsd"))
-        assert restored.lifecycle is not None
-        new_reaper = restored.lifecycle
+        (new_reaper,) = restored.observers()
+        assert isinstance(new_reaper, ConnectionReaper)
         assert new_reaper.idle_timeout == reaper.idle_timeout
         for tup in tuples:
             assert new_reaper._last_touch[tup] == reaper._last_touch[tup]
@@ -205,7 +205,7 @@ class TestLifecycleRoundTrip:
 
         restored = restore_bytes(snapshot_bytes(algorithm, "mtf"))
         reaper.advance(6.5)
-        restored.lifecycle.advance(6.5)
+        restored.observer.advance(6.5)
         assert sorted(p.four_tuple for p in algorithm) == (
             sorted(p.four_tuple for p in restored)
         )

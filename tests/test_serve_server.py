@@ -59,19 +59,25 @@ class TestEndToEnd:
         events = []
 
         class Hook:
-            """The ConnectionReaper observer protocol, recorded."""
+            """The demux observer protocol, recorded."""
 
-            def note_insert(self, pcb):
+            def on_lookup(self, algorithm, lookup, tup, kind):
+                result = lookup(tup, kind)
+                if result.found:
+                    events.append(("touch", tup))
+                return result
+
+            def on_insert(self, algorithm, pcb):
                 events.append(("insert", pcb.four_tuple))
 
-            def note_remove(self, tup):
+            def on_remove(self, algorithm, tup):
                 events.append(("remove", tup))
 
-            def note_touch(self, tup):
-                events.append(("touch", tup))
+            def on_send(self, algorithm, pcb):
+                events.append(("touch", pcb.four_tuple))
 
         algorithm = make_algorithm("sequent:h=19")
-        algorithm.lifecycle = Hook()
+        algorithm.attach(Hook())
         report = _serve(
             ServeConfig(),
             LoadConfig(clients=3, frames=2, seed=1),
