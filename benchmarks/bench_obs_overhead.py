@@ -11,10 +11,11 @@ examined per lookup), for the default profiler and for the telemetry
 plane (profiler plus packet spans plus sketches).
 
 BSD at N=512 is a slot-table scan since the list walk moved to the
-test-only oracle: ~5-9 us per lookup on a 2-CPU x86 host, not the
-~45 us of the list-walk era, so fixed per-packet observer costs weigh
-~7x more than when the budget was set.  The telemetry-plane case now
-exceeds its budget (~+25-30% there): the unsampled train detector
+test-only oracle: ~6-8 us per lookup on a 2-CPU x86 host (bare, best
+round), not the ~45 us of the list-walk era, so fixed per-packet
+observer costs weigh ~6x more than when the budget was set.  There
+the default profiler reads ~+1-4.5% per run.  The telemetry-plane case
+exceeds its budget (~+24-28% there): the unsampled train detector
 compares ``FourTuple``s with Python-level ``__eq__`` on every packet.
 The fast path (Sequent hashing, a few PCBs per lookup) and full
 tracing (every event built and buffered) are measured and reported

@@ -78,6 +78,24 @@ class LookupResult:
     #: Packet class this lookup served.
     kind: PacketKind
 
+    def __init__(
+        self,
+        pcb: Optional[PCB],
+        examined: int,
+        cache_hit: bool,
+        kind: PacketKind,
+    ) -> None:
+        # Every lookup builds one of these.  The generated frozen
+        # __init__ pays an object.__setattr__ call per field; filling
+        # __dict__ directly stores the same four attributes at about
+        # half the cost.  Equality, hash, repr, ``dataclasses.replace``,
+        # pickling and the frozen __setattr__ are unchanged.
+        fields = self.__dict__
+        fields["pcb"] = pcb
+        fields["examined"] = examined
+        fields["cache_hit"] = cache_hit
+        fields["kind"] = kind
+
     @property
     def found(self) -> bool:
         return self.pcb is not None
@@ -153,7 +171,12 @@ class DemuxAlgorithm(abc.ABC):
     # -- observers -------------------------------------------------------
 
     def observers(self) -> Tuple[object, ...]:
-        """The attached observers, in attach order."""
+        """The observers watching this structure, in attach order.
+
+        These are the ones in :attr:`observer`; a wrapper that attaches
+        some observers to a structure it owns lists those too
+        (:class:`~repro.recovery.supervisor.ShardSupervisor`).
+        """
         observer = self.observer
         if observer is None:
             return ()
@@ -169,7 +192,7 @@ class DemuxAlgorithm(abc.ABC):
         two span collectors on one structure would contradict each
         other, and silently replacing the first would orphan it.
         """
-        attached = self.observers()
+        attached = DemuxAlgorithm.observers(self)  # this slot only
         for other in attached:
             if type(other) is type(observer):
                 raise ValueError(
@@ -180,7 +203,7 @@ class DemuxAlgorithm(abc.ABC):
 
     def detach(self, observer) -> None:
         """Remove ``observer``; ``ValueError`` if it is not attached."""
-        attached = self.observers()
+        attached = DemuxAlgorithm.observers(self)
         if not any(other is observer for other in attached):
             raise ValueError(f"{observer!r} is not attached to {self!r}")
         self._fill(tuple(other for other in attached if other is not observer))

@@ -90,7 +90,11 @@ class LookupProfiler:
             raise ValueError(f"max_samples must be >= 1, got {max_samples}")
         self.sample_every = sample_every
         self.max_samples = max_samples
-        self._count = 0
+        #: Lookups left until the next timed one, and whole sampling
+        #: periods completed: a countdown costs the unsampled path less
+        #: than a running count and a modulo.
+        self._until = sample_every
+        self._periods = 0
         self._durations: List[int] = []
         #: Samples discarded after hitting ``max_samples``.
         self.overflowed = 0
@@ -110,9 +114,12 @@ class LookupProfiler:
 
     def on_lookup(self, algorithm, lookup, tup, kind):
         """Call ``lookup(tup, kind)``, timing every Nth invocation."""
-        self._count += 1
-        if self._count % self.sample_every:
+        until = self._until - 1
+        if until:
+            self._until = until
             return lookup(tup, kind)
+        self._until = self.sample_every
+        self._periods += 1
         start = time.perf_counter_ns()
         result = lookup(tup, kind)
         elapsed = time.perf_counter_ns() - start
@@ -131,14 +138,15 @@ class LookupProfiler:
 
     @property
     def lookups(self) -> int:
-        return self._count
+        return (self._periods + 1) * self.sample_every - self._until
 
     @property
     def samples(self) -> int:
         return len(self._durations)
 
     def reset(self) -> None:
-        self._count = 0
+        self._until = self.sample_every
+        self._periods = 0
         self._durations.clear()
         self.overflowed = 0
 
@@ -147,14 +155,14 @@ class LookupProfiler:
         n = len(durations)
         if not n:
             return ProfileReport(
-                lookups=self._count, samples=0,
+                lookups=self.lookups, samples=0,
                 sample_every=self.sample_every,
                 total_ns=0, min_ns=0, max_ns=0, mean_ns=0.0,
                 p50_ns=0, p95_ns=0,
             )
         total = sum(durations)
         return ProfileReport(
-            lookups=self._count,
+            lookups=self.lookups,
             samples=n,
             sample_every=self.sample_every,
             total_ns=total,

@@ -30,6 +30,9 @@ __all__ = [
 #: Largest valid TCP/UDP port number.
 MAX_PORT = 0xFFFF
 
+_new_object = object.__new__
+_new_tuple = tuple.__new__
+
 _DOTTED_QUAD_RE = re.compile(r"^(\d{1,3})\.(\d{1,3})\.(\d{1,3})\.(\d{1,3})$")
 
 
@@ -76,6 +79,18 @@ class IPv4Address:
             self._value = value
         else:
             raise AddressError(f"cannot build IPv4Address from {type(value).__name__}")
+
+    @classmethod
+    def _from_wire(cls, value: int) -> "IPv4Address":
+        """Wrap a 32-bit integer decoded from a header, unchecked.
+
+        For parsers only: ``struct``'s ``I`` yields 0..2**32-1, so the
+        range check in :meth:`__init__` cannot fire.  Everything else
+        goes through the validating constructor.
+        """
+        address = _new_object(cls)
+        address._value = value
+        return address
 
     @property
     def value(self) -> int:
@@ -127,7 +142,9 @@ class IPv4Address:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._value)
+        # Equal to hash(self._value): an int below 2**61 - 1 hashes to
+        # itself, so the builtin call is skipped, not the hash changed.
+        return self._value
 
     def __int__(self) -> int:
         return self._value
@@ -198,20 +215,21 @@ class FourTuple(_FourTupleBase):
         remote_addr: Union[str, int, bytes, IPv4Address],
         remote_port: int,
     ) -> "FourTuple":
-        # The isinstance guards keep the common case -- fields that are
-        # already IPv4Address, e.g. via ``reversed`` or ``_replace`` --
-        # free of re-wrapping allocations on the hot path.
+        # The common case -- addresses that are already IPv4Address and
+        # ports that are plain ints in range -- skips re-wrapping and the
+        # _check_port call; anything else (bool, str, out-of-range
+        # values, int subclasses) still gets the full checks, addresses
+        # first, so a tuple with several bad fields raises as it always
+        # has.
         if not isinstance(local_addr, IPv4Address):
             local_addr = IPv4Address(local_addr)
         if not isinstance(remote_addr, IPv4Address):
             remote_addr = IPv4Address(remote_addr)
-        return super().__new__(
-            cls,
-            local_addr,
-            _check_port(local_port, "local"),
-            remote_addr,
-            _check_port(remote_port, "remote"),
-        )
+        if type(local_port) is not int or not 0 <= local_port <= MAX_PORT:
+            local_port = _check_port(local_port, "local")
+        if type(remote_port) is not int or not 0 <= remote_port <= MAX_PORT:
+            remote_port = _check_port(remote_port, "remote")
+        return _new_tuple(cls, (local_addr, local_port, remote_addr, remote_port))
 
     @classmethod
     def _make(cls, iterable) -> "FourTuple":

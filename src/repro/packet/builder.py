@@ -27,8 +27,14 @@ class Packet:
 
     @property
     def four_tuple(self) -> FourTuple:
-        """The receiver-side demux key (local = this packet's destination)."""
-        return self.tcp.four_tuple(self.ip.src, self.ip.dst)
+        """The receiver-side demux key (local = this packet's destination).
+
+        Built by the validating :class:`FourTuple` constructor, so a
+        packet whose fields were changed after parsing still raises
+        :class:`AddressError` for a bad port.
+        """
+        ip, tcp = self.ip, self.tcp
+        return FourTuple(ip.dst, tcp.dst_port, ip.src, tcp.src_port)
 
     @property
     def is_pure_ack(self) -> bool:

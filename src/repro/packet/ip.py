@@ -150,8 +150,8 @@ class IPv4Header:
         if total_length < header_len:
             raise PacketError("total length smaller than header")
         return cls._from_wire(
-            IPv4Address(src),
-            IPv4Address(dst),
+            IPv4Address._from_wire(src),
+            IPv4Address._from_wire(dst),
             protocol,
             total_length - header_len,
             identification,
@@ -174,7 +174,8 @@ class IPv4Header:
         """Build from decoded wire fields without :meth:`__post_init__`.
 
         Its checks cannot fire once :meth:`parse` has passed: every
-        field is an unsigned integer of its wire width, IHL <= 15 bounds
+        field is an unsigned integer of its wire width (the addresses
+        are wrapped by :meth:`IPv4Address._from_wire`), IHL <= 15 bounds
         the options to 40 bytes in whole words, and the total length is
         at least the header length and at most 0xFFFF.
         """

@@ -197,6 +197,12 @@ class ShardSupervisor(DemuxAlgorithm):
         else:
             super().detach(observer)
 
+    def observers(self) -> Tuple[object, ...]:
+        """This slot's observers, then the facade's, so a walk over a
+        structure's observers (``bind_tracer_clock``, :meth:`recover`'s
+        notes) reaches the span collector too."""
+        return super().observers() + self._sharded.observers()
+
     @property
     def sharded(self) -> ShardedDemux:
         """The supervised structure (for reports and inspection)."""
@@ -417,7 +423,7 @@ class ShardSupervisor(DemuxAlgorithm):
             checkpoint_corrupt=checkpoint_corrupt,
         )
         self.events.append(event)
-        for observer in self._sharded.observers():
+        for observer in self.observers():
             on_recovery = getattr(observer, "on_recovery", None)
             if on_recovery is not None:
                 on_recovery(

@@ -103,6 +103,18 @@ def test_observer_artifacts_match_digests(name, tmp_path):
     assert run_digests(name, tmp_path) == expected
 
 
+def test_supervised_spans_carry_virtual_time(tmp_path):
+    # Under ShardSupervisor the span collector sits on the sharded
+    # facade; its clock must still be bound to the simulator, so spans
+    # start at virtual times after 0.0, in packet order.
+    run_digests("sharded_recovery", tmp_path)
+    text = (tmp_path / "sharded_recovery.spans.jsonl").read_text(encoding="utf-8")
+    starts = [json.loads(line)["start"] for line in text.splitlines() if line]
+    assert starts
+    assert min(starts) > 0.0
+    assert starts == sorted(starts)
+
+
 if __name__ == "__main__":
     import tempfile
 

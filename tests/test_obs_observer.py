@@ -24,6 +24,8 @@ from repro.obs.profile import LookupProfiler
 from repro.obs.spans import SpanCollector
 from repro.obs.trace import RingBufferSink, Tracer
 from repro.recovery import ShardSupervisor
+from repro.sim.engine import Simulator
+from repro.workload.base import bind_tracer_clock
 
 from conftest import make_pcbs, make_tuple
 
@@ -87,13 +89,6 @@ def _batch_calls(structure):
     return sum(shard.fastpath_counters.batch_calls for shard in shards)
 
 
-def _attached(structure):
-    """Every observer, including those a supervisor put on its facade."""
-    if isinstance(structure, ShardSupervisor):
-        return structure.observers() + structure.sharded.observers()
-    return structure.observers()
-
-
 def _packets():
     # Repeats (cache hits), both kinds, and a few misses.
     return [
@@ -142,9 +137,10 @@ class TestBatchedEqualsPerCall:
         assert batched.stats.as_dict() == per_call.stats.as_dict()
         assert batch_records == records
         if "spans" in observer_names:
-            # One span per packet, even under the supervisor.
+            # One span per packet, even under the supervisor (whose
+            # observers() lists the collector it put on its facade).
             (collector,) = [
-                o for o in _attached(batched) if isinstance(o, SpanCollector)
+                o for o in batched.observers() if isinstance(o, SpanCollector)
             ]
             assert collector.packets_seen == len(_packets())
             assert collector.spans_finished == len(_packets())
@@ -226,3 +222,15 @@ class TestAttachRule:
         assert supervised.sharded.observer is collector
         supervised.detach(collector)
         assert supervised.sharded.observer is None
+
+    def test_supervisor_lists_its_facade_observers(self):
+        # bind_tracer_clock walks observers(): the collector on the
+        # facade gets the simulator's clock like any other observer.
+        supervised = STRUCTURES["supervised"]()
+        collector = _spans(supervised)
+        tracer = _tracer(supervised)
+        assert supervised.observers() == (tracer, collector)
+        sim = Simulator()
+        bind_tracer_clock(supervised, sim)
+        assert collector.clock is not None
+        assert collector.clock() == sim.now
