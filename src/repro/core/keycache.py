@@ -12,7 +12,8 @@ structures eliminate them *without changing any algorithmic decision*.
 
 * each four-tuple is interned to its packed 96-bit **integer key**
   (:meth:`FourTuple.key_bits`), a bijection, so integer equality is
-  exactly tuple equality and slot tables can scan C-speed int lists;
+  exactly tuple equality and slot tables can scan the keys packed as
+  bytes in C;
 * for chained structures, the chain index (a deterministic pure
   function of the tuple) is memoized alongside the key, so the CRC runs
   once per distinct tuple instead of once per packet.
@@ -29,7 +30,7 @@ publish_fastpath` exports through the observability registry.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..packet.addresses import FourTuple
 from .base import DemuxAlgorithm, LookupResult
@@ -53,8 +54,9 @@ class FastpathCounters:
     key_cache_hits: int = 0
     #: Interned entries evicted on connection removal.
     evicted_keys: int = 0
-    #: Probes of never-interned tuples whose key was computed on the
-    #: fly and *not* stored (miss lookups on absent connections).
+    #: Probes of tuples with no memo: lookups of absent connections,
+    #: whose key is computed on the fly and *not* stored, and removes
+    #: of absent connections.
     transient_probes: int = 0
     #: ``lookup_batch`` invocations that took the amortized loop.
     batch_calls: int = 0
@@ -82,10 +84,11 @@ class KeyCache:
     deterministic, unseeded pure function of the tuple, and the chain
     count is fixed for the structure's lifetime.
 
-    Memory-bounds contract: only :meth:`entry` (the insert path) may
-    store a memo; :meth:`probe` (the lookup/remove path) computes the
-    pair on the fly for unknown tuples without storing, and
-    :meth:`evict` drops the memo when its connection is removed.  The
+    Memory-bounds contract: only :meth:`intern` (the insert and
+    restore paths) may store a memo; :meth:`probe` (the
+    lookup path) computes the pair on the fly for unknown tuples
+    without storing, and :meth:`evict` (the remove path) drops the
+    memo when its connection is removed.  The
     owning structure therefore holds exactly one interned entry per
     *live* connection -- heavy insert/remove churn and miss-lookup
     floods cannot grow the table (see docs/fastpath.md, "Memory
@@ -108,29 +111,30 @@ class KeyCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def entry(self, tup: FourTuple) -> Tuple[int, int]:
-        """The ``(key, chain)`` pair for ``tup``, interning it.
+    def __contains__(self, tup: FourTuple) -> bool:
+        """Whether ``tup`` has a memo, i.e. is live (uncounted)."""
+        return tup in self._entries
 
-        The *insert* path: the connection is becoming live, so the
-        memo is stored for the packets that will follow.
+    def intern(self, tup: FourTuple) -> Optional[Tuple[int, int]]:
+        """Store and return ``tup``'s ``(key, chain)`` memo.
+
+        The *insert* path.  Returns ``None``, storing and counting
+        nothing, when ``tup`` already has a memo: the connection is
+        live and the insert is a duplicate.
         """
-        entry = self._entries.get(tup)
-        if entry is None:
-            entry = self._compute(tup)
-            self._entries[tup] = entry
-            self.counters.interned_keys += 1
-        else:
-            self.counters.key_cache_hits += 1
+        entry = self._compute(tup)
+        if self._entries.setdefault(tup, entry) is not entry:
+            return None
+        self.counters.interned_keys += 1
         return entry
 
     def probe(self, tup: FourTuple) -> Tuple[int, int]:
         """The ``(key, chain)`` pair for ``tup``, *without* interning.
 
-        The *lookup/remove* path: a tuple that is not already interned
-        is either a miss or a teardown, so storing a memo for it would
-        leak one entry per stray packet.  Live tuples hit the same
-        dict read as :meth:`entry`; unknown ones pay one throwaway key
-        computation.
+        The *lookup* path: a tuple that is not already interned is a
+        miss, so storing a memo for it would leak one entry per stray
+        packet.  Live tuples cost one dict read; unknown ones pay one
+        throwaway key computation.
         """
         entry = self._entries.get(tup)
         if entry is None:
@@ -139,16 +143,43 @@ class KeyCache:
         self.counters.key_cache_hits += 1
         return entry
 
-    def evict(self, tup: FourTuple) -> bool:
-        """Drop ``tup``'s interned entry (connection removed).
+    def probe_batch(
+        self, tuples: Sequence[FourTuple]
+    ) -> Tuple[List[Tuple[int, int]], List[bool]]:
+        """:meth:`probe` each of ``tuples``; also say which had a memo.
 
-        Returns ``True`` if an entry was present.  Safe to call for
-        never-interned tuples (idempotent).
+        Returns the ``(key, chain)`` pairs and, beside them, whether
+        each tuple was interned -- that is, whether its connection is
+        live.  Counts exactly as the :meth:`probe` loop would.
         """
-        if self._entries.pop(tup, None) is not None:
-            self.counters.evicted_keys += 1
-            return True
-        return False
+        entries = list(map(self._entries.get, tuples))
+        live = [entry is not None for entry in entries]
+        hits = live.count(True)
+        if hits < len(entries):
+            compute = self._compute
+            entries = [
+                entry or compute(tup) for entry, tup in zip(entries, tuples)
+            ]
+        self.counters.key_cache_hits += hits
+        self.counters.transient_probes += len(entries) - hits
+        return entries, live
+
+    def evict(self, tup: FourTuple) -> Optional[Tuple[int, int]]:
+        """Drop and return ``tup``'s memo: the *remove* path.
+
+        Returns ``None`` if ``tup`` has none (the connection is not
+        live), so it is safe to call for never-interned tuples.  Counts
+        as a :meth:`probe` (a key-cache hit, or a transient probe)
+        and, when a memo is dropped, an eviction.
+        """
+        entry = self._entries.pop(tup, None)
+        counters = self.counters
+        if entry is None:
+            counters.transient_probes += 1
+        else:
+            counters.key_cache_hits += 1
+            counters.evicted_keys += 1
+        return entry
 
     def _compute(self, tup: FourTuple) -> Tuple[int, int]:
         chain = self._chain_fn(tup) if self._chain_fn is not None else 0
@@ -169,16 +200,17 @@ class InternedDemux(BatchLookupMixin, DemuxAlgorithm):
     Subclasses add their own storage -- :class:`~repro.core.tables.
     SlotDemux` the paper's list-shaped structures,
     :class:`~repro.fastpath.cuckoo.FastCuckooDemux` its bucket arrays
-    -- but interning, the membership set, counters, and the leak
-    contract (interned entries == live connections) live here, as does
-    the snapshot machinery's type anchor.
+    -- and their own ``__len__``, counted from that storage.
+    Interning, membership, counters, and the leak contract (interned
+    entries == live connections) live here, as does the snapshot
+    machinery's type anchor.  By that contract the key cache *is* the
+    live set: a tuple is live iff it has a memo.
     """
 
     def __init__(self, chain_fn=None) -> None:
         super().__init__()
         self.fastpath_counters = FastpathCounters()
         self._keycache = KeyCache(chain_fn, self.fastpath_counters)
-        self._present: Set[int] = set()
 
     def _lookup_batch(
         self, packets: Sequence[Packet]
@@ -197,9 +229,6 @@ class InternedDemux(BatchLookupMixin, DemuxAlgorithm):
         contract (one memo per live connection, none for dead ones)."""
         return len(self._keycache)
 
-    def __len__(self) -> int:
-        return len(self._present)
-
     def __contains__(self, tup: FourTuple) -> bool:
         """Membership without perturbing caches, stats, or counters."""
-        return tup.key_bits() in self._present
+        return tup in self._keycache

@@ -8,7 +8,7 @@ useful experimentally because its cost is exactly the scan length with
 no cache noise.
 
 The list is one :class:`~repro.core.tables.SlotTable`; a scan is one
-``list.index`` over interned integer keys.
+``rfind`` over its packed interned keys.
 """
 
 from __future__ import annotations

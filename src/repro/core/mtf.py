@@ -50,7 +50,7 @@ class MoveToFrontDemux(SlotDemux):
         Heisenberg effect of a real lookup.  Raises ``KeyError`` if the
         connection is absent.
         """
-        try:
-            return self._tables[0].keys.index(tup.key_bits())
-        except ValueError:
-            raise KeyError(tup) from None
+        index, _ = self._tables[0].scan(tup.key_bits())
+        if index < 0:
+            raise KeyError(tup)
+        return index

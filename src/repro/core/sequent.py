@@ -115,22 +115,21 @@ class SequentDemux(ChainedSlotDemux):
         self, packets: Sequence[Packet]
     ) -> Optional[List[LookupResult]]:
         # Cache-first.  Chains never mutate during lookups, so a miss
-        # finds its PCB iff its key is live: one pass in packet order
-        # moves the cache keys as the per-call loop would, scanning
-        # nothing; then found misses are scanned (one scan_batch per
-        # chain) and PCBs filled into results and touched cache slots.
-        probe = self._keycache.probe
+        # finds its PCB iff its tuple has a memo (is live): one pass in
+        # packet order moves the cache keys as the per-call loop would,
+        # scanning nothing; then found misses are scanned (one
+        # scan_batch per chain) and PCBs filled into results and
+        # touched cache slots.
+        entries, live = self._keycache.probe_batch([tup for tup, _ in packets])
         caches = self._caches
         tables = self._tables
-        present = self._present
         pcbs: List[Optional[PCB]] = [None] * len(packets)
         examined = [1] * len(packets)
         hits = [False] * len(packets)
         misses: dict = {}  # chain -> [(position, key)] of found misses
         setter: dict = {}  # chain -> the found miss that last set its cache
         aliases = []  # (hit, found miss that set the slot it hit)
-        for position, (tup, _) in enumerate(packets):
-            key, chain = probe(tup)
+        for position, (key, chain) in enumerate(entries):
             cache = caches[chain]
             if cache.key is None:
                 examined[position] = 0
@@ -142,7 +141,7 @@ class SequentDemux(ChainedSlotDemux):
                 else:
                     aliases.append((position, source))
                 continue
-            if key in present:
+            if live[position]:
                 cache.key = key
                 setter[chain] = position
                 misses.setdefault(chain, []).append((position, key))

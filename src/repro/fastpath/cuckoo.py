@@ -48,7 +48,7 @@ snapshot round-trip tests.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..core.base import DuplicateConnectionError, LookupResult
 from ..core.keycache import InternedDemux
@@ -143,6 +143,9 @@ class FastCuckooDemux(InternedDemux):
         self._max_kicks = kick
         self._initial_buckets = buckets
         self._kick_cursor = 0
+        #: Keys of the live connections: the population count that
+        #: ``len()``, the load factor and proactive growth read.
+        self._present: Set[int] = set()
         self._alloc(buckets)
 
     # -- geometry -------------------------------------------------------
@@ -323,11 +326,12 @@ class FastCuckooDemux(InternedDemux):
         return LookupResult(None, examined, cache_hit=False, kind=kind)
 
     def _insert(self, pcb: PCB) -> None:
-        key, _ = self._keycache.entry(pcb.four_tuple)
-        if key in self._present:
+        entry = self._keycache.intern(pcb.four_tuple)
+        if entry is None:
             raise DuplicateConnectionError(
                 f"duplicate connection {pcb.four_tuple}"
             )
+        key = entry[0]
         # Proactive growth: two-choice cuckoo with 4-slot buckets
         # sustains ~95% occupancy, but kickout walks lengthen sharply
         # past 90% -- double before the walk gets pathological.
@@ -338,9 +342,12 @@ class FastCuckooDemux(InternedDemux):
         self._present.add(key)
 
     def _remove(self, tup: FourTuple) -> PCB:
-        key, _ = self._keycache.probe(tup)
-        if key not in self._present:
+        # Same eviction contract as every fast structure: the interned
+        # memo dies with the connection (see KeyCache).
+        entry = self._keycache.evict(tup)
+        if entry is None:
             raise KeyError(tup)
+        key = entry[0]
         fp, b1, b2 = self._geometry(key)
         index = self._find_in(b1, key)
         if index >= 0:
@@ -355,9 +362,6 @@ class FastCuckooDemux(InternedDemux):
             else:
                 pcb = self._stash_remove(key)
         self._present.discard(key)
-        # Same eviction contract as every fast structure: the interned
-        # memo dies with the connection (see KeyCache).
-        self._keycache.evict(tup)
         self._drain_stash()
         return pcb
 
@@ -366,7 +370,7 @@ class FastCuckooDemux(InternedDemux):
             if stash_key == key:
                 del self._stash[position]
                 return pcb
-        # _present said live, buckets and stash disagree: impossible
+        # The key cache said live, buckets and stash disagree: impossible
         # unless internal state is corrupt.
         raise AssertionError(f"key {key:#x} live but not resident")
 
@@ -495,12 +499,21 @@ class FastCuckooDemux(InternedDemux):
         for key, pcb, _fp in self._stash:
             yield key, pcb
 
+    def __len__(self) -> int:
+        return len(self._present)
+
     def __iter__(self) -> Iterator[PCB]:
         """Bucket-major slot order, then stash order (deterministic)."""
         for _key, pcb in self._iter_items():
             yield pcb
 
     # -- snapshot restore hooks (see repro.recovery.snapshot) -----------
+
+    def _restored_key(self, pcb: PCB) -> int:
+        entry = self._keycache.intern(pcb.four_tuple)
+        if entry is None:
+            raise ValueError(f"{pcb.four_tuple} restored twice")
+        return entry[0]
 
     def restore_slot(self, index: int, pcb: PCB) -> None:
         """Re-impose one captured bucket slot verbatim.
@@ -509,7 +522,7 @@ class FastCuckooDemux(InternedDemux):
         restore re-creates the physical layout instead; pre-filters
         are re-derived here (they are a pure function of placement).
         """
-        key, _ = self._keycache.entry(pcb.four_tuple)
+        key = self._restored_key(pcb)
         fp, b1, b2 = self._geometry(key)
         bucket = index // self._bucket_size
         if bucket not in (b1, b2):
@@ -530,7 +543,7 @@ class FastCuckooDemux(InternedDemux):
             raise ValueError(
                 f"stash overflows its bound {self._stash_bound} on restore"
             )
-        key, _ = self._keycache.entry(pcb.four_tuple)
+        key = self._restored_key(pcb)
         fp, _b1, _b2 = self._geometry(key)
         self._stash.append((key, pcb, fp))
         self._present.add(key)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Callable, Dict
 
 from ..packet.addresses import FourTuple
-from .crc import crc16_ccitt, crc32c
+from .crc import crc16_ccitt, crc32c_key
 
 __all__ = [
     "HashFunction",
@@ -117,7 +117,7 @@ def crc16_hash(tup: FourTuple, nbuckets: int) -> int:
 def crc32_hash(tup: FourTuple, nbuckets: int) -> int:
     """CRC-32C of the packed 12-byte key, reduced mod H."""
     _check_buckets(nbuckets)
-    return crc32c(_packed_key(tup)) % nbuckets
+    return crc32c_key(tup.key_bits()) % nbuckets
 
 
 def remote_port_only(tup: FourTuple, nbuckets: int) -> int:

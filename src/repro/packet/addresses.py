@@ -267,11 +267,15 @@ class FourTuple(_FourTupleBase):
         remote addr, remote port.  Hash functions in
         :mod:`repro.hashing` operate on this value.
         """
+        # Construction guarantees IPv4Address fields, so their ints are
+        # read directly: ``int()`` would cost a Python-level __int__
+        # call per address on every insert and every chain hash.
+        local_addr, local_port, remote_addr, remote_port = self
         return (
-            (int(self.local_addr) << 64)
-            | (self.local_port << 48)
-            | (int(self.remote_addr) << 16)
-            | self.remote_port
+            (local_addr._value << 64)
+            | (local_port << 48)
+            | (remote_addr._value << 16)
+            | remote_port
         )
 
     def words16(self) -> Iterator[int]:

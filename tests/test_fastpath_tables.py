@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.base import DuplicateConnectionError
 from repro.core.batch import as_packets
 from repro.core.bsd import BSDDemux
 from repro.core.keycache import FastpathCounters, KeyCache
 from repro.core.pcb import PCB
+from repro.core.registry import make_algorithm
 from repro.core.sequent import SequentDemux
 from repro.core.stats import PacketKind
 from repro.core.tables import CachedSlot, SlotTable
@@ -29,15 +31,18 @@ from demux_oracle import LinearOracle
 
 
 class TestKeyCache:
-    def test_interns_once_and_counts_hits(self):
+    def test_interns_once_and_refuses_a_live_tuple(self):
         cache = KeyCache()
         tup = make_tuple(0)
-        key, chain = cache.entry(tup)
+        key, chain = cache.intern(tup)
         assert key == tup.key_bits()
         assert chain == 0
-        assert cache.entry(tup) == (key, chain)
+        assert tup in cache
+        # A second intern is a duplicate insert: nothing stored or
+        # counted (a key-cache hit means a lookup served by a memo).
+        assert cache.intern(tup) is None
         assert cache.counters.interned_keys == 1
-        assert cache.counters.key_cache_hits == 1
+        assert cache.counters.key_cache_hits == 0
         assert len(cache) == 1
 
     def test_chain_fn_runs_once_per_distinct_tuple(self):
@@ -49,7 +54,7 @@ class TestKeyCache:
 
         cache = KeyCache(chain_fn)
         tup = make_tuple(1)
-        cache.entry(tup)  # the insert path interns (and hashes once)
+        cache.intern(tup)  # the insert path interns (and hashes once)
         assert cache.chain_of(tup) == 3
         assert cache.chain_of(tup) == 3
         assert cache.key_of(tup) == tup.key_bits()
@@ -63,14 +68,14 @@ class TestKeyCache:
         assert len(cache) == 0
         assert cache.counters.transient_probes == 1
         # Interned tuples probe through the memo.
-        cache.entry(tup)
+        cache.intern(tup)
         cache.probe(tup)
         assert cache.counters.key_cache_hits == 1
 
     def test_evict_drops_entry_and_counts(self):
         cache = KeyCache()
         tup = make_tuple(3)
-        cache.entry(tup)
+        cache.intern(tup)
         assert cache.evict(tup)
         assert len(cache) == 0
         assert cache.counters.evicted_keys == 1
@@ -80,7 +85,7 @@ class TestKeyCache:
     def test_shared_counters_object(self):
         counters = FastpathCounters()
         cache = KeyCache(counters=counters)
-        cache.entry(make_tuple(0))
+        cache.intern(make_tuple(0))
         assert counters.interned_keys == 1
         assert counters.as_dict() == {
             "interned_keys": 1,
@@ -90,6 +95,48 @@ class TestKeyCache:
             "batch_calls": 0,
             "batched_lookups": 0,
         }
+
+    def test_evict_returns_the_memo_and_counts_the_probe(self):
+        cache = KeyCache()
+        tup = make_tuple(5)
+        cache.intern(tup)
+        assert cache.evict(tup) == (tup.key_bits(), 0)
+        assert tup not in cache
+        assert cache.evict(tup) is None
+        counters = cache.counters
+        assert (counters.key_cache_hits, counters.evicted_keys) == (1, 1)
+        assert counters.transient_probes == 1
+
+    def test_probe_batch_counts_as_the_probe_loop(self):
+        batched, looped = KeyCache(lambda tup: 2), KeyCache(lambda tup: 2)
+        tuples = [make_tuple(i) for i in (0, 1, 2, 1, 9)]
+        for cache in (batched, looped):
+            cache.intern(tuples[1])
+        entries, live = batched.probe_batch(tuples)
+        assert entries == [looped.probe(tup) for tup in tuples]
+        assert live == [False, True, False, True, False]
+        assert batched.counters == looped.counters
+
+
+class TestDuplicateInsert:
+    @pytest.mark.parametrize(
+        "spec",
+        ["linear", "bsd", "mtf", "sequent:h=19", "hashed_mtf:h=3", "cuckoo"],
+    )
+    def test_rejected_duplicate_counts_nothing(self, spec):
+        # A duplicate insert is refused before interning: it must not
+        # count a key-cache hit, which means "a lookup served from the
+        # intern table".
+        demux = make_algorithm(spec)
+        tup = make_tuple(0)
+        demux.insert(PCB(tup))
+        before = demux.fastpath_counters.as_dict()
+        with pytest.raises(DuplicateConnectionError):
+            demux.insert(PCB(tup))
+        assert demux.fastpath_counters.as_dict() == before
+        assert before["key_cache_hits"] == 0
+        assert before["interned_keys"] == 1
+        assert len(demux) == demux.interned_entries == 1
 
 
 class TestSlotTable:

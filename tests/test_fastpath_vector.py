@@ -1,6 +1,6 @@
 """The numpy-vectorized batch scan: decision-exact and faster.
 
-``SlotTable.scan_batch`` replaces one ``list.index`` per packet with a
+``SlotTable.scan_batch`` replaces one ``rfind`` per packet with a
 blocked numpy comparison -- but it must be a pure speedup: first-match
 index and pinned examined count identical to the scalar scan, which
 small tables and single-key batches still take as the reference loop.
@@ -12,7 +12,7 @@ These tests pin all three claims:
   every structure's batched path forced onto the loop must still
   reproduce the committed decisions;
 * the speedup itself (marked slow): at N >= 10^3 the vectorized scan
-  beats the ``list.index`` loop on the same table.
+  beats the scalar ``rfind`` loop on the same table.
 """
 
 from __future__ import annotations
@@ -91,7 +91,11 @@ class TestScanBatchUnit:
         # callers) and check both paths pick the earlier index.
         table = make_table(32)
         dup_key = table.keys[20]
-        table.keys[5] = dup_key
+        # Overwrite logical index 5 in the packed, tail-first buffer.
+        end = len(table.packed) - tables.KEY_BYTES * 5
+        table.packed[end - tables.KEY_BYTES:end] = dup_key.to_bytes(
+            tables.KEY_BYTES, "big"
+        )
         table.pcbs[5] = table.pcbs[20]
         table._version += 1
         results = table.scan_batch([dup_key] * 3)

@@ -1,8 +1,10 @@
 """Tests for the demux hash functions."""
 
+import random
+
 import pytest
 
-from repro.hashing.crc import crc16_ccitt, crc32c
+from repro.hashing.crc import crc16_ccitt, crc32c, crc32c_key
 from repro.hashing.functions import (
     HASH_FUNCTIONS,
     add_fold,
@@ -25,6 +27,16 @@ class TestCRCPrimitives:
     def test_crc32c_known_vector(self):
         # CRC-32C("123456789") = 0xE3069283.
         assert crc32c(b"123456789") == 0xE3069283
+
+    def test_crc32c_key_equals_bytewise_crc(self):
+        # The per-position tables must reproduce the byte loop exactly:
+        # the chain every connection hashes to depends on it.
+        rng = random.Random(7)
+        keys = [0, 1, (1 << 96) - 1, 1 << 95] + [
+            rng.getrandbits(96) for _ in range(2000)
+        ]
+        for key in keys:
+            assert crc32c_key(key) == crc32c(key.to_bytes(12, "big"))
 
     def test_crc_detects_single_bit_flip(self):
         data = bytes(range(32))

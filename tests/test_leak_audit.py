@@ -5,6 +5,7 @@ import pytest
 from repro.core.pcb import PCB
 from repro.core.registry import make_algorithm
 from repro.core.stats import PacketKind
+from repro.core.tables import KEY_BYTES
 from repro.faults.audit import audit_leaks
 from repro.packet.addresses import FourTuple, IPv4Address
 
@@ -57,7 +58,7 @@ class TestLeakDetection:
         # that are not (or no longer) in the table: entries outliving
         # their PCBs is exactly what the audit exists to catch.
         for i in range(100, 105):
-            algorithm._keycache.entry(tuple_for(i))
+            algorithm._keycache.intern(tuple_for(i))
         audit = audit_leaks(algorithm)
         assert not audit.ok
         assert any("interned keys leak" in v for v in audit.violations)
@@ -66,17 +67,28 @@ class TestLeakDetection:
     def test_grace_allows_bounded_overhang(self):
         algorithm = populated("fast-linear", 3)
         for i in range(100, 102):
-            algorithm._keycache.entry(tuple_for(i))
+            algorithm._keycache.intern(tuple_for(i))
         assert not audit_leaks(algorithm).ok
         assert audit_leaks(algorithm, grace=2).ok
 
     def test_shard_level_leak_is_flagged(self):
         algorithm = populated("sharded-fast-mtf:shards=2", 8)
         # Poison one shard only.
-        algorithm.shards[0]._keycache.entry(tuple_for(200))
+        algorithm.shards[0]._keycache.intern(tuple_for(200))
         audit = audit_leaks(algorithm)
         assert not audit.ok
         assert any("shard" in v for v in audit.violations)
+
+    def test_key_hidden_from_a_chain_buffer_is_flagged(self):
+        # ``len()`` counts key-buffer entries and iteration walks the
+        # PCB lists: drop one key from a chain's packed buffer behind
+        # the table's back, leaving its PCB listed, and the two disagree.
+        algorithm = populated("fast-sequent:h=7", 6)
+        table = next(table for table in algorithm._tables if len(table))
+        del table.packed[:KEY_BYTES]
+        audit = audit_leaks(algorithm)
+        assert not audit.ok
+        assert "__len__ says 5 but iteration yields 6" in audit.violations
 
     def test_custom_label(self):
         audit = audit_leaks(populated("fast-bsd"), label="the-server")

@@ -233,9 +233,10 @@ class TestAudit:
         pcb = PCB(FourTuple.create("10.0.0.1", 80, "10.0.1.1", 45000))
         server.table.insert(pcb)
         # Corrupt the structure behind the table's back: a second slot
-        # for the same key in the BSD list's parallel arrays.
+        # for the same key at the tail of the BSD list -- the front of
+        # its tail-first key buffer, the end of its PCB list.
         table = server.table.algorithm._tables[0]
-        table.keys.append(pcb.four_tuple.key_bits())
+        table.packed[0:0] = pcb.four_tuple.key_bits().to_bytes(12, "big")
         table.pcbs.append(pcb)
         audit = audit_stack(server)
         assert not audit.ok
